@@ -7,7 +7,14 @@ either way the session mirrors the test fixture in ``conftest.py``
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
+# Python workers are started by the JVM with its environment, not with
+# this process's sys.path, so `src` must be on PYTHONPATH before the JVM
+# launches.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 # Driver memory must be set before the JVM launches (plain `python
 # jobs/x.py` would otherwise get the 1g default).

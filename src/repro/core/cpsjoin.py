@@ -4,7 +4,7 @@ Level-by-level Chosen-Path recursion over a DataFrame of
 ``(rep, path, sid)`` rows (all repetitions run in one dataflow; the
 root path of repetition ``r`` is ``xxhash64(r, seed)``):
 
-1. bucket sizes via ``groupBy(rep, path)``;
+1. bucket sizes as a window count over ``(rep, path)``;
 2. buckets that fit in one task (``<= local_threshold`` records) are
    grouped with ``applyInPandas`` and finished by the exact in-memory
    recursion of Algorithms 1+2 (``core.cpsjoin_local``);
@@ -24,33 +24,41 @@ Candidate pairs from both routes run the shared pipeline: size check,
 1-bit sketch check (false-negative rate ``delta``), exact Jaccard
 verification, global dedup.  Counters follow Table IV semantics
 (candidates counted before dedup).
+
+Both pandas stages emit their verified pairs plus counter rows keyed
+``(-1, -1)``; they are unioned uncached and one ``groupBy(a, b)`` dedups
+the pairs and folds the counters.  Only that aggregate (minus its counter
+row) is cached, and the one action that materialises it also returns the
+counters through an ``Observation``.  No pandas-UDF output is cached
+directly: AQE does not change a cached plan's output partitioning, so a
+cached pandas stage would run one Python task per shuffle partition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.sql.window import Window
 
 from .cpsjoin_local import JoinStats, cpsjoin_local_rep
 from .preprocess import preprocess
 from .sketches import sketch_pass
 from .verify import jaccard
 
-__all__ = ["CPSJoinResult", "cpsjoin"]
+__all__ = ["CPSJoinResult", "cpsjoin", "bucket_seed"]
 
+_COUNTERS = ("pre_candidates", "candidates", "results")
+
+# Verified pairs (a < b) and counter rows (a = b = -1); pair rows carry
+# zero counters.
 _OUT_SCHEMA = T.StructType(
-    [
-        T.StructField("kind", T.IntegerType(), False),  # 0 = pair, 1 = stats
-        T.StructField("a", T.LongType(), False),
-        T.StructField("b", T.LongType(), False),
-        T.StructField("pre_candidates", T.LongType(), False),
-        T.StructField("candidates", T.LongType(), False),
-        T.StructField("results", T.LongType(), False),
-    ]
+    [T.StructField("a", T.LongType(), False), T.StructField("b", T.LongType(), False)]
+    + [T.StructField(c, T.LongType(), False) for c in _COUNTERS]
 )
 
 _HASH_MOD = 1 << 31
@@ -59,6 +67,41 @@ _HASH_MOD = 1 << 31
 def _unit(col):
     """Map a 64-bit hash column to a uniform-ish value in [0, 1)."""
     return F.pmod(col, F.lit(_HASH_MOD)) / F.lit(float(_HASH_MOD))
+
+
+def bucket_seed(seed: int, rep: int, path: int) -> int:
+    """Seed of the local kernel's run on bucket ``(rep, path)``.
+
+    Deterministic across processes (``SeedSequence`` of the three ints),
+    so a bucket's recursion does not depend on which task runs it.
+    """
+    return int(
+        np.random.SeedSequence(
+            [seed & 0x7FFFFFFF, rep, path & 0x7FFFFFFFFFFFFFFF]
+        ).generate_state(1)[0]
+    )
+
+
+def _with_counters(a, b, stats: JoinStats) -> pd.DataFrame:
+    """``_OUT_SCHEMA`` rows: the pairs ``(a, b)``, then one counter row."""
+    out = pd.DataFrame(
+        {"a": np.append(a, -1).astype(np.int64), "b": np.append(b, -1).astype(np.int64)}
+    )
+    for name, value in zip(_COUNTERS, stats.as_tuple()):
+        col = np.zeros(len(out), dtype=np.int64)
+        col[-1] = value
+        out[name] = col
+    return out
+
+
+def _release_checkpoint(df: DataFrame) -> None:
+    """Drop the blocks of ``df``, a ``localCheckpoint`` result.
+
+    Checkpoints are not in the session's cache, so ``unpersist`` cannot
+    reach them; their RDD sits under the plan's ``LogicalRDD`` leaf.
+    Call it only once every query that reads ``df`` has run.
+    """
+    df._jdf.queryExecution().analyzed().rdd().unpersist(False)
 
 
 @dataclass
@@ -99,164 +142,136 @@ def cpsjoin(
     if own_pre:
         pre = preprocess(sets_df, t=t, ell=ell, seed=seed).cache()
 
-    reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
-    active = (
-        pre.select("sid")
-        .crossJoin(reps_df)
-        .withColumn("path", F.xxhash64("rep", F.lit(seed)))
-        .select("rep", "path", "sid")
-    )
-
-    local_parts: list[DataFrame] = []
-    pair_parts: list[DataFrame] = []  # distributed BRUTEFORCEPOINT pairs
-    level = 0
-    while True:
-        sizes = active.groupBy("rep", "path").agg(F.count("*").alias("gsize"))
-        tagged = active.join(sizes, ["rep", "path"]).localCheckpoint(eager=True)
-        small = tagged.filter(
-            (F.col("gsize") <= local_threshold) & (F.col("gsize") >= 2)
+    checkpoints: list[DataFrame] = []  # released once the pairs are cached
+    try:
+        reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
+        active = (
+            pre.select("sid")
+            .crossJoin(reps_df)
+            .withColumn("path", F.xxhash64("rep", F.lit(seed)))
+            .select("rep", "path", "sid")
         )
-        local_parts.append(small.select("rep", "path", "sid"))
-        big = tagged.filter(F.col("gsize") > local_threshold)
-        if level >= max_dist_levels or big.isEmpty():
-            if level >= max_dist_levels and not big.isEmpty():
+
+        # Bucket sizes and coordinate-value counts are window counts: one
+        # shuffle each, where an aggregate joined back needs two.
+        by_bucket = Window.partitionBy("rep", "path")
+        by_value = Window.partitionBy("rep", "path", "i", "v")
+        embedding = pre.select("sid", "mh")
+        local_parts: list[DataFrame] = []
+        pair_parts: list[DataFrame] = []  # distributed BRUTEFORCEPOINT pairs
+        level = 0
+        while True:
+            # A local checkpoint keeps later levels from recomputing this one
+            # and keeps the partitioning AQE chose.  The level's one action
+            # materialises it and sizes the largest bucket.
+            tagged = active.withColumn(
+                "gsize", F.count("*").over(by_bucket)
+            ).localCheckpoint(eager=False)
+            checkpoints.append(tagged)
+            largest = tagged.agg(F.max("gsize")).first()[0]
+            small = tagged.filter(
+                (F.col("gsize") <= local_threshold) & (F.col("gsize") >= 2)
+            )
+            local_parts.append(small.select("rep", "path", "sid"))
+            big = tagged.filter(F.col("gsize") > local_threshold)
+            if largest is None or largest <= local_threshold:
+                break
+            if level >= max_dist_levels:
                 # Safety valve: ship oversized buckets to the local kernel.
                 local_parts.append(big.select("rep", "path", "sid"))
-            break
+                break
 
-        bigm = big.join(pre.select("sid", "mh"), "sid")
-        ex = bigm.select(
-            "rep", "path", "sid", "gsize", F.posexplode("mh").alias("i", "v")
-        )
-        counts = ex.groupBy("rep", "path", "i", "v").agg(F.count("*").alias("cnt"))
-        sims = (
-            ex.join(counts, ["rep", "path", "i", "v"])
-            .groupBy("rep", "path", "sid", "gsize")
-            .agg(F.sum(F.col("cnt") - 1).alias("simsum"))
-        )
-        removed = sims.filter(
-            F.col("simsum") / (t * (F.col("gsize") - 1)) > (1.0 - eps) * lam
-        ).select("rep", "path", "sid")
-        bfp = (
-            removed.withColumnRenamed("sid", "sid_x")
-            .join(big.select("rep", "path", F.col("sid").alias("sid_y")),
-                  ["rep", "path"])
-            .filter(F.col("sid_x") != F.col("sid_y"))
-            .select(
-                F.least("sid_x", "sid_y").alias("a"),
-                F.greatest("sid_x", "sid_y").alias("b"),
+            sims = (
+                big.join(embedding, "sid")
+                .select("rep", "path", "sid", "gsize",
+                        F.posexplode("mh").alias("i", "v"))
+                .withColumn("cnt", F.count("*").over(by_value))
+                .groupBy("rep", "path", "sid", "gsize")
+                .agg(F.sum(F.col("cnt") - 1).alias("simsum"))
             )
-        )
-        pair_parts.append(bfp)
-        survivors = bigm.join(removed, ["rep", "path", "sid"], "left_anti")
-
-        sel = _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1))) < 1.0 / (lam * t)
-        active = (
-            survivors.select("rep", "path", "sid", F.posexplode("mh").alias("i", "v"))
-            .filter(sel)
-            .select("rep", F.xxhash64("path", "i", "v").alias("path"), "sid")
-        )
-        level += 1
-
-    stats = JoinStats()
-    result_parts: list[DataFrame] = []
-
-    # --- local buckets: run the full in-memory recursion per bucket ---
-    local_all = local_parts[0]
-    for p in local_parts[1:]:
-        local_all = local_all.unionByName(p)
-    local_rows = local_all.join(pre, "sid")
-
-    def run_bucket(key, pdf):
-        rep, path = int(key[0]), int(key[1])
-        mh = np.stack(pdf["mh"].to_numpy()).astype(np.int64)
-        sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
-        tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
-        sids = pdf["sid"].to_numpy()
-        # Deterministic per-bucket seed (int tuple hashes are unsalted).
-        g_seed = np.random.SeedSequence(
-            [seed & 0x7FFFFFFF, rep, path & 0x7FFFFFFFFFFFFFFF]
-        ).generate_state(1)[0]
-        pairs, st = cpsjoin_local_rep(
-            mh, sketch, tokens, lam,
-            limit=limit, eps=eps, delta=delta, seed=int(g_seed),
-        )
-        sa = np.minimum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        sb = np.maximum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        out = pd.DataFrame(
-            {
-                "kind": np.zeros(len(sa), dtype=np.int32),
-                "a": sa.astype(np.int64),
-                "b": sb.astype(np.int64),
-                "pre_candidates": np.zeros(len(sa), dtype=np.int64),
-                "candidates": np.zeros(len(sa), dtype=np.int64),
-                "results": np.zeros(len(sa), dtype=np.int64),
-            }
-        )
-        srow = pd.DataFrame(
-            {
-                "kind": [1], "a": [-1], "b": [-1],
-                "pre_candidates": [st.pre_candidates],
-                "candidates": [st.candidates],
-                "results": [st.results],
-            }
-        )
-        return pd.concat([out, srow], ignore_index=True)
-
-    local_out = (
-        local_rows.groupBy("rep", "path").applyInPandas(run_bucket, schema=_OUT_SCHEMA)
-    ).cache()
-    lstats = (
-        local_out.filter("kind = 1")
-        .agg(
-            F.sum("pre_candidates").alias("p"),
-            F.sum("candidates").alias("c"),
-            F.sum("results").alias("r"),
-        )
-        .first()
-    )
-    if lstats and lstats["p"] is not None:
-        stats.merge(JoinStats(int(lstats["p"]), int(lstats["c"]), int(lstats["r"])))
-    result_parts.append(local_out.filter("kind = 0").select("a", "b"))
-
-    # --- distributed BRUTEFORCEPOINT pairs: shared verification path ---
-    if pair_parts:
-        bfp_all = pair_parts[0]
-        for p in pair_parts[1:]:
-            bfp_all = bfp_all.unionByName(p)
-        # Verify each pair once; carry its duplicate count so the
-        # pre-candidate/candidate counters keep Table IV's raw
-        # (duplicate-inclusive) semantics.
-        bfp_all = bfp_all.groupBy("a", "b").agg(F.count("*").alias("mult"))
-        vout = _verify_pairs_df(bfp_all, pre, lam, delta).cache()
-        vstats = (
-            vout.filter("kind = 1")
-            .agg(
-                F.sum("pre_candidates").alias("p"),
-                F.sum("candidates").alias("c"),
-                F.sum("results").alias("r"),
+            hot = F.col("simsum") / (t * (F.col("gsize") - 1)) > (1.0 - eps) * lam
+            removed = sims.filter(hot).select("rep", "path", "sid")
+            bfp = (
+                removed.withColumnRenamed("sid", "sid_x")
+                .join(big.select("rep", "path", F.col("sid").alias("sid_y")),
+                      ["rep", "path"])
+                .filter(F.col("sid_x") != F.col("sid_y"))
+                .select(
+                    F.least("sid_x", "sid_y").alias("a"),
+                    F.greatest("sid_x", "sid_y").alias("b"),
+                )
             )
-            .first()
-        )
-        if vstats and vstats["p"] is not None:
-            stats.merge(
-                JoinStats(int(vstats["p"]), int(vstats["c"]), int(vstats["r"]))
+            pair_parts.append(bfp)
+            survivors = (
+                sims.filter(~hot).select("rep", "path", "sid").join(embedding, "sid")
             )
-        result_parts.append(vout.filter("kind = 0").select("a", "b"))
 
-    pairs_df = result_parts[0]
-    for p in result_parts[1:]:
-        pairs_df = pairs_df.unionByName(p)
-    pairs_df = (
-        pairs_df.select(F.col("a").alias("sid_a"), F.col("b").alias("sid_b"))
-        .distinct()
-        .cache()
-    )
-    n_results = pairs_df.count()
-    if own_pre:
-        pre.unpersist()
-    return CPSJoinResult(pairs=pairs_df, stats=stats, n_results=n_results,
-                         levels=level)
+            sel = (
+                _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1)))
+                < 1.0 / (lam * t)
+            )
+            active = (
+                survivors.select(
+                    "rep", "path", "sid", F.posexplode("mh").alias("i", "v")
+                )
+                .filter(sel)
+                .select("rep", F.xxhash64("path", "i", "v").alias("path"), "sid")
+            )
+            level += 1
+
+        # --- local buckets: run the full in-memory recursion per bucket ---
+        local_rows = reduce(DataFrame.unionByName, local_parts).join(pre, "sid")
+
+        def run_bucket(key, pdf):
+            rep, path = int(key[0]), int(key[1])
+            mh = np.stack(pdf["mh"].to_numpy()).astype(np.int64)
+            sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
+            tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
+            sids = pdf["sid"].to_numpy()
+            pairs, st = cpsjoin_local_rep(
+                mh, sketch, tokens, lam,
+                limit=limit, eps=eps, delta=delta, seed=bucket_seed(seed, rep, path),
+            )
+            sa = np.minimum(sids[pairs[:, 0]], sids[pairs[:, 1]])
+            sb = np.maximum(sids[pairs[:, 0]], sids[pairs[:, 1]])
+            return _with_counters(sa, sb, st)
+
+        out = local_rows.groupBy("rep", "path").applyInPandas(
+            run_bucket, schema=_OUT_SCHEMA
+        )
+
+        # --- distributed BRUTEFORCEPOINT pairs: shared verification path ---
+        if pair_parts:
+            # Verify each pair once; carry its duplicate count so the
+            # pre-candidate/candidate counters keep Table IV's raw
+            # (duplicate-inclusive) semantics.
+            bfp_all = (
+                reduce(DataFrame.unionByName, pair_parts)
+                .groupBy("a", "b")
+                .agg(F.count("*").alias("mult"))
+            )
+            out = out.unionByName(_verify_pairs_df(bfp_all, pre, lam, delta))
+
+        # Dedup the pairs and fold every counter row into (-1, -1); the action
+        # that caches the pairs also sums the counters.
+        sums = [F.sum(c).alias(c) for c in _COUNTERS]
+        totals = Observation()
+        pairs_df = (
+            out.groupBy("a", "b").agg(*sums)
+            .observe(totals, *sums)
+            .filter(F.col("a") >= 0)
+            .select(F.col("a").alias("sid_a"), F.col("b").alias("sid_b"))
+            .cache()
+        )
+        n_results = pairs_df.count()
+        stats = JoinStats(*(int(totals.get[c] or 0) for c in _COUNTERS))
+        return CPSJoinResult(pairs=pairs_df, stats=stats, n_results=n_results,
+                             levels=level)
+    finally:
+        for df in checkpoints:
+            _release_checkpoint(df)
+        if own_pre:
+            pre.unpersist()
 
 
 def _verify_pairs_df(
@@ -267,8 +282,8 @@ def _verify_pairs_df(
     Each distinct pair is verified once; its ``mult`` (how many times
     the candidate generator produced it) weights the pre-candidate and
     candidate counters so they keep Table IV's duplicate-inclusive
-    semantics.  Emits ``kind=0`` rows for verified results and one
-    ``kind=1`` counter row per Arrow batch.
+    semantics.  Emits the verified pairs and one ``(-1, -1)`` counter row
+    per Arrow batch.
     """
     sides = pairs.join(
         pre.select(
@@ -320,24 +335,9 @@ def _verify_pairs_df(
                     ) >= lam:
                         rows_a.append(int(a))
                         rows_b.append(int(b))
-            out = pd.DataFrame(
-                {
-                    "kind": np.zeros(len(rows_a), dtype=np.int32),
-                    "a": np.asarray(rows_a, dtype=np.int64),
-                    "b": np.asarray(rows_b, dtype=np.int64),
-                    "pre_candidates": np.zeros(len(rows_a), dtype=np.int64),
-                    "candidates": np.zeros(len(rows_a), dtype=np.int64),
-                    "results": np.zeros(len(rows_a), dtype=np.int64),
-                }
+            yield _with_counters(
+                np.asarray(rows_a, dtype=np.int64), np.asarray(rows_b, dtype=np.int64),
+                JoinStats(n, n_cand, len(rows_a)),
             )
-            srow = pd.DataFrame(
-                {
-                    "kind": [1], "a": [-1], "b": [-1],
-                    "pre_candidates": [n],
-                    "candidates": [n_cand],
-                    "results": [len(rows_a)],
-                }
-            )
-            yield pd.concat([out, srow], ignore_index=True)
 
     return sides.mapInPandas(run, schema=_OUT_SCHEMA)

@@ -154,7 +154,6 @@ def cpsjoin_local_rep(
     delta: float = 0.05,
     seed: int = 0,
     max_depth: int = 96,
-    start_depth: int = 0,
 ) -> tuple[np.ndarray, JoinStats]:
     """One repetition of CPSJoin on an in-memory bucket.
 
@@ -166,7 +165,7 @@ def cpsjoin_local_rep(
     """
     ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit, max_depth,
                np.random.default_rng(seed))
-    _node(ctx, np.arange(len(tokens), dtype=np.int64), start_depth)
+    _node(ctx, np.arange(len(tokens), dtype=np.int64), 0)
     if ctx.pairs:
         pairs = np.unique(np.array(ctx.pairs, dtype=np.int64), axis=0)
     else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from .minhash import MinHasher
@@ -50,8 +49,3 @@ def preprocess(
             yield out
 
     return df.select("sid", "tokens").mapInPandas(run, schema=PRE_SCHEMA)
-
-
-def with_size(df: DataFrame) -> DataFrame:
-    """Attach ``size = |tokens|`` without the (costlier) embedding."""
-    return df.withColumn("size", F.size("tokens"))

@@ -1,11 +1,34 @@
 """End-to-end tests for the distributed CPSJoin dataflow."""
+import hashlib
+
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro import datasets
-from repro.core.cpsjoin import cpsjoin
+from repro import datasets, setsynth
+from repro.core.cpsjoin import bucket_seed, cpsjoin
+from repro.core.cpsjoin_local import JoinStats, cpsjoin_local_rep
+from repro.core.preprocess import preprocess
 from repro.exact import brute_force_join, precision, recall
 from repro.setsynth import collection_to_spark
+
+# SHA-256 of the sorted pair set of the pinned DBLP join below; a change
+# to the driver's Spark plan must not move it.
+PINNED_SHA256 = "1ef2771785deee82c1e2b1e4fe0b5034566fba095e668b3085e0f082fd958596"
+
+# Tasks of the 58-set join in the task-budget test: 370 when each pandas
+# stage's output was cached (64 tasks per cached stage and per scan of
+# it), 158 since.
+TASK_BUDGET = 200
+
+
+def _pair_set(res) -> set[tuple[int, int]]:
+    return {(int(r["sid_a"]), int(r["sid_b"])) for r in res.pairs.collect()}
+
+
+def _pair_sha256(pairs: set[tuple[int, int]]) -> str:
+    text = "\n".join(f"{a},{b}" for a, b in sorted(pairs))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +129,97 @@ class TestPreprocessSchema:
         assert len(row["mh"]) == 16
         assert len(row["sketch"]) == 2
         assert row["size"] == len(row["tokens"])
+
+
+class TestSameOutput:
+    def test_pinned_output_with_distributed_levels(self, spark, dblp):
+        """Pair set, counters and ``n_results`` at a fixed seed."""
+        _, df = dblp
+        res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
+                      local_threshold=40)
+        pairs = _pair_set(res)
+        res.pairs.unpersist()
+        assert res.levels == 4
+        assert _pair_sha256(pairs) == PINNED_SHA256
+        assert res.stats.as_tuple() == (33457, 699, 437)
+        assert res.n_results == len(pairs) == 27
+
+    def test_driver_equals_kernel_when_input_fits_one_task(self, spark, dblp):
+        """With ``local_threshold >= n`` every repetition's root bucket goes
+        whole to the local kernel, so the driver must equal
+        ``cpsjoin_local_rep`` run per repetition with the same seed."""
+        _, df = dblp
+        seed, reps, lam = 3, 4, 0.5
+        params = dict(limit=20, eps=0.1, delta=0.05)
+        pre = preprocess(df, t=64, ell=8, seed=seed).cache()
+        rows = pre.toPandas().sort_values("sid")
+        res = cpsjoin(spark, df, lam, t=64, ell=8, reps=reps, seed=seed,
+                      pre=pre, **params)
+        got = _pair_set(res)
+        res.pairs.unpersist()
+        pre.unpersist()
+        assert res.levels == 0
+
+        sids = rows["sid"].to_numpy()
+        mh = np.stack(rows["mh"].to_numpy()).astype(np.int64)
+        sketch = np.stack(rows["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
+        tokens = [np.asarray(x, dtype=np.int64) for x in rows["tokens"]]
+        roots = spark.range(reps).select(
+            F.col("id").cast("int").alias("rep"),
+            F.xxhash64(F.col("id").cast("int"), F.lit(seed)).alias("path"),
+        ).collect()
+        want, stats = set(), JoinStats()
+        for r in roots:
+            pairs, st = cpsjoin_local_rep(
+                mh, sketch, tokens, lam,
+                seed=bucket_seed(seed, r["rep"], r["path"]), **params,
+            )
+            want |= {(int(sids[a]), int(sids[b])) for a, b in pairs}
+            stats.merge(st)
+        assert want, "the kernel must find pairs for the comparison to bite"
+        assert got == want
+        assert res.stats.as_tuple() == stats.as_tuple()
+        assert res.n_results == len(want)
+
+
+class TestSparkResources:
+    def test_no_persisted_rdd_outlives_the_call(self, spark, dblp):
+        """Each call caches only ``res.pairs``; freeing it restores the
+        session's persisted-RDD count, also after distributed levels."""
+        _, df = dblp
+        jsc = spark.sparkContext._jsc
+        for seed in range(3):
+            before = len(jsc.getPersistentRDDs())
+            res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=seed,
+                          local_threshold=40)
+            assert res.levels >= 1
+            res.pairs.unpersist()
+            assert len(jsc.getPersistentRDDs()) == before
+
+    def test_task_budget_without_distributed_levels(self, spark):
+        """A join with no distributed level must not run a task per
+        shuffle partition (64 in the fixture) in its pandas stages."""
+        sets = setsynth.zipf_collection(40, 8, 400, seed=5, planted_per_level=3)
+        df = collection_to_spark(spark, sets).cache()
+        df.count()
+        sc = spark.sparkContext
+        group = "cpsjoin-task-budget"
+        sc.setJobGroup(group, "cpsjoin task budget")
+        try:
+            res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=1)
+            sc._jsc.sc().listenerBus().waitUntilEmpty()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        tracker = sc.statusTracker()
+        stages = set()
+        for j in tracker.getJobIdsForGroup(group):
+            stages.update(tracker.getJobInfo(j).stageIds)
+        tasks = sum(
+            info.numCompletedTasks
+            for info in map(tracker.getStageInfo, stages) if info is not None
+        )
+        res.pairs.unpersist()
+        df.unpersist()
+        assert res.levels == 0 and res.n_results > 0
+        assert tasks < TASK_BUDGET
