@@ -3,40 +3,43 @@
 The paper's exact baseline (via Mann et al.'s study, where the basic
 prefix filter "ALL" is the overall winner).  Distributed formulation:
 
-1. order tokens globally by ascending document frequency (rarest first)
-   and re-rank every set's tokens in that order;
-2. each set exposes its *prefix*: the first ``|x| - ceil(lam * |x|) + 1``
-   ranked tokens — any pair with ``J >= lam`` must share a token within
-   both prefixes (the shared token of minimum global rank does the job,
-   given the length filter ``|small| >= lam * |big|``);
-3. inverted-index join: explode prefixes, self-join on token rank with
-   ``sid_a < sid_b`` plus the length filter -> pre-candidates;
-4. distinct pairs -> candidates; exact Jaccard verification -> results.
+1. order tokens globally by ascending document frequency (rarest first,
+   ties by token) and rewrite every set's tokens as sorted order keys
+   ``df * 2^32 + token``.  ``df`` is a window count partitioned by token,
+   and the key is a total order on every int32 token, so no global
+   window ranks the tokens (Vernica et al., SIGMOD 2010, use the same
+   frequency order);
+2. each set exposes its *prefix*: the first ``|x| - o + 1`` keys, where
+   ``o`` is the smallest overlap with ``o / |x| >= lam``.  Any pair with
+   ``J >= lam`` shares a token within both prefixes, given the length
+   filter ``|small| / |big| >= lam``.  Both bounds use the verifier's own
+   double division, so a pair with ``J`` exactly ``lam`` survives them;
+3. inverted-index join: explode prefixes, self-join on the key with
+   ``sid_a < sid_b`` plus the length filter -> pre-candidates, grouped
+   into distinct pairs with their multiplicity -> candidates;
+4. exact Jaccard verification in the JVM: ``|a ∩ b|`` is
+   ``size(array_intersect)`` and a pair is kept iff
+   ``inter / (|a| + |b| - inter) >= lam``, the same IEEE division
+   ``verify.jaccard`` makes, so no Python worker runs.
 
-Counters follow Table IV: pre-candidates are size-feasible index hits,
-candidates are distinct pre-candidates, results are verified pairs.
+The whole join is one Catalyst plan.  Only its result is cached: an
+intermediate cache would fix its partitioning before AQE could coalesce
+it, and would add an action.  The one action that materialises the
+pairs also returns the counters through an ``Observation``.  Counters
+follow Table IV: pre-candidates are size-feasible index hits (with
+duplicates), candidates are distinct pre-candidates, results are
+verified pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, Observation, SparkSession, Window
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from ..core.cpsjoin_local import JoinStats
-from ..core.verify import jaccard
 
 __all__ = ["AllPairsResult", "allpairs"]
-
-_PAIR_SCHEMA = T.StructType(
-    [
-        T.StructField("sid_a", T.LongType(), False),
-        T.StructField("sid_b", T.LongType(), False),
-    ]
-)
 
 
 @dataclass
@@ -49,18 +52,28 @@ class AllPairsResult:
 
 
 def _ranked_sets(sets_df: DataFrame) -> DataFrame:
-    """Rewrite each set's tokens as global-frequency ranks (rarest = 0)."""
+    """Rewrite each set's tokens as sorted frequency-order keys."""
     tok = sets_df.select("sid", F.explode("tokens").alias("token"))
-    freq = tok.groupBy("token").agg(F.count("*").alias("df"))
-    rank = freq.withColumn(
-        "rank",
-        F.row_number().over(Window.orderBy(F.asc("df"), F.asc("token"))) - 1,
-    ).select("token", "rank")
+    freq = F.count("*").over(Window.partitionBy("token"))
     return (
-        tok.join(rank, "token")
+        tok.select("sid", (freq * (1 << 32) + F.col("token")).alias("rank"))
         .groupBy("sid")
         .agg(F.sort_array(F.collect_list("rank")).alias("rtokens"))
         .withColumn("size", F.size("rtokens"))
+    )
+
+
+def _min_overlap(size, lam: float):
+    """Smallest ``o`` with ``o / size >= lam`` in double arithmetic.
+
+    ``ceil(lam * size)`` can be one off either way: the product rounds
+    (``0.55 * 100`` is ``55.00000000000001``), and so does ``o / size``.
+    """
+    o = F.ceil(lam * size)
+    return (
+        F.when((o - 1) / size >= lam, o - 1)
+        .when(o / size < lam, o + 1)
+        .otherwise(o)
     )
 
 
@@ -68,8 +81,8 @@ def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsRes
     """Exact self-join ``{(a, b) : J >= lam}`` with prefix filtering; eager."""
     if not 0 < lam < 1:
         raise ValueError(f"lam must be in (0,1), got {lam}")
-    ranked = _ranked_sets(sets_df).cache()
-    prefix_len = (F.col("size") - F.ceil(lam * F.col("size")) + 1).cast("int")
+    ranked = _ranked_sets(sets_df)
+    prefix_len = (F.col("size") - _min_overlap(F.col("size"), lam) + 1).cast("int")
     prefix = ranked.select(
         "sid",
         "size",
@@ -86,18 +99,21 @@ def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsRes
         F.col("sid").alias("sid_b"),
         F.col("size").alias("size_b"),
     )
-    pre_pairs = (
+    totals = Observation()
+    cand = (
         left.join(right, "rank")
         .filter(F.col("sid_a") < F.col("sid_b"))
         .filter(
-            F.least("size_a", "size_b") >= lam * F.greatest("size_a", "size_b")
+            F.least("size_a", "size_b") / F.greatest("size_a", "size_b") >= lam
         )
-        .select("sid_a", "sid_b")
-        .cache()
+        .groupBy("sid_a", "sid_b")
+        .agg(F.count("*").alias("mult"))
+        .observe(
+            totals,
+            F.sum("mult").alias("pre_candidates"),
+            F.count("*").alias("candidates"),
+        )
     )
-    n_pre = pre_pairs.count()
-    cand = pre_pairs.distinct().cache()
-    n_cand = cand.count()
 
     sides = cand.join(
         ranked.select(F.col("sid").alias("sid_a"), F.col("rtokens").alias("ta")),
@@ -106,33 +122,19 @@ def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsRes
         ranked.select(F.col("sid").alias("sid_b"), F.col("rtokens").alias("tb")),
         "sid_b",
     )
-
-    def verify(batches):
-        for pdf in batches:
-            keep_a, keep_b = [], []
-            for a, b, ta, tb in zip(
-                pdf["sid_a"].tolist(), pdf["sid_b"].tolist(),
-                pdf["ta"].tolist(), pdf["tb"].tolist(),
-            ):
-                if jaccard(
-                    np.asarray(ta, dtype=np.int64), np.asarray(tb, dtype=np.int64)
-                ) >= lam:
-                    keep_a.append(int(a))
-                    keep_b.append(int(b))
-            yield pd.DataFrame(
-                {
-                    "sid_a": np.asarray(keep_a, dtype=np.int64),
-                    "sid_b": np.asarray(keep_b, dtype=np.int64),
-                }
-            )
-
-    pairs = sides.mapInPandas(verify, schema=_PAIR_SCHEMA).cache()
+    inter = F.size(F.array_intersect("ta", "tb"))
+    pairs = (
+        sides.filter(inter / (F.size("ta") + F.size("tb") - inter) >= lam)
+        .select("sid_a", "sid_b")
+        .cache()
+    )
     n_res = pairs.count()
-    ranked.unpersist()
-    pre_pairs.unpersist()
-    cand.unpersist()
     return AllPairsResult(
         pairs=pairs,
-        stats=JoinStats(n_pre, n_cand, n_res),
+        stats=JoinStats(
+            int(totals.get["pre_candidates"] or 0),
+            int(totals.get["candidates"] or 0),
+            n_res,
+        ),
         n_results=n_res,
     )

@@ -154,7 +154,7 @@ def minhash_lsh_join(
         sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
         tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
         sids = pdf["sid"].to_numpy()
-        pairs, st = brute_force_pairs_arrays(None, sketch, tokens, lam, delta=delta)
+        pairs, st = brute_force_pairs_arrays(sketch, tokens, lam, delta=delta)
         sa = np.minimum(sids[pairs[:, 0]], sids[pairs[:, 1]])
         sb = np.maximum(sids[pairs[:, 0]], sids[pairs[:, 1]])
         out = pd.DataFrame(

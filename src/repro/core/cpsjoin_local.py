@@ -174,7 +174,6 @@ def cpsjoin_local_rep(
 
 
 def brute_force_pairs_arrays(
-    mh_unused,
     sketches: np.ndarray,
     tokens,
     lam: float,

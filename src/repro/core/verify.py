@@ -21,10 +21,16 @@ def jaccard(tokens_a: np.ndarray, tokens_b: np.ndarray) -> float:
 
 
 def size_filter(sizes_a: np.ndarray, sizes_b: np.ndarray, lam: float) -> np.ndarray:
-    """Pairs that can possibly reach ``J >= lam``: ``lam*|big| <= |small|``."""
+    """Pairs that can possibly reach ``J >= lam``: ``|small| / |big| >= lam``.
+
+    ``J <= |small| / |big|``, and the ratio is the same double division
+    ``jaccard`` makes, so a pair with ``J`` exactly ``lam`` passes; the
+    product ``lam * |big|`` can round above ``|small|``
+    (``0.55 * 100 == 55.00000000000001``).
+    """
     lo = np.minimum(sizes_a, sizes_b)
     hi = np.maximum(sizes_a, sizes_b)
-    return lo >= lam * hi
+    return lo / hi >= lam
 
 
 def verify_pairs(tokens, ia: np.ndarray, ib: np.ndarray, lam: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .core.verify import jaccard
+from .core.verify import jaccard, size_filter
 
 __all__ = ["brute_force_join", "exact_join_sql", "recall", "precision"]
 
@@ -26,10 +26,8 @@ def brute_force_join(sets, lam: float) -> set[tuple[int, int]]:
     out: set[tuple[int, int]] = set()
     n = len(tokens)
     for i in range(n):
-        for j in range(i + 1, n):
-            lo, hi = sorted((sizes[i], sizes[j]))
-            if lo < lam * hi:
-                continue
+        feasible = i + 1 + np.flatnonzero(size_filter(sizes[i], sizes[i + 1:], lam))
+        for j in feasible.tolist():
             if jaccard(tokens[i], tokens[j]) >= lam:
                 out.add((i, j))
     return out

@@ -241,6 +241,8 @@ def table2_rows(
                     "paper_all_s": paper[2] if paper else None,
                 }
             )
+            for res in (ap, cp, mh):
+                res.pairs.unpersist()
         pre_cp.unpersist()
         sets_df.unpersist()
     return rows
@@ -296,6 +298,8 @@ def table3_rows(
                         "n_results": cp.n_results,
                     }
                 )
+                cp.pairs.unpersist()
+        truth.unpersist()
         sets_df.unpersist()
     return rows
 
@@ -340,6 +344,8 @@ def table4_rows(
                     "paper_cp": paper.get("CP"),
                 }
             )
+            ap.pairs.unpersist()
+            cp.pairs.unpersist()
         pre.unpersist()
         sets_df.unpersist()
     return rows

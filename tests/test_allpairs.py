@@ -1,4 +1,5 @@
 """ALLPAIRS exactness tests — every result goes through the DuckDB oracle."""
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,6 +8,19 @@ from repro.baselines.allpairs import allpairs
 from repro.exact import brute_force_join, exact_join_sql
 from repro.oracle import assert_equivalent
 from repro.setsynth import collection_to_pandas, collection_to_spark
+
+from ._helpers import pair_set, pair_sha256, run_counted
+
+# Output of the DBLP x0.15 join at lam = 0.5, recorded before ALLPAIRS
+# became one Catalyst plan; a rewrite of the plan must not move it.
+PINNED_SHA256 = "9ba6ef461e70371ff0d67628f6f55999908e3e38b0932362e361d24097202d5a"
+PINNED_STATS = (104527, 9999, 24)
+
+# Tasks and jobs of one DBLP x0.15 call: 846 and 21 with a single-partition
+# Window, cached intermediates and a pandas verifier; 154 and 16 as one
+# Catalyst plan.
+TASK_BUDGET = 300
+JOB_BUDGET = 20
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +60,59 @@ class TestExactness:
         ap = allpairs(spark, df, lam)
         got = {(r["sid_a"], r["sid_b"]) for r in ap.pairs.collect()}
         assert got == brute_force_join(sets, lam)
+
+
+class TestExactThreshold:
+    def test_pair_at_exactly_lambda(self, spark):
+        """J = 55/100 equals lam = 0.55 in double arithmetic, but
+        ``0.55 * 100`` rounds to 55.00000000000001: a length filter or
+        prefix bound built on that product drops the pair."""
+        sets = [np.arange(100), np.arange(45, 100)]
+        df = collection_to_spark(spark, sets)
+        ap = allpairs(spark, df, 0.55)
+        assert_equivalent(
+            ap.pairs, exact_join_sql(0.55), sets=collection_to_pandas(sets)
+        )
+        got = pair_set(ap)
+        ap.pairs.unpersist()
+        assert got == brute_force_join(sets, 0.55) == {(0, 1)}
+
+
+class TestSameOutput:
+    def test_pinned_output(self, spark, dblp):
+        """Pair set, counters and ``n_results`` of a fixed input."""
+        _, df = dblp
+        ap = allpairs(spark, df, 0.5)
+        pairs = pair_set(ap)
+        ap.pairs.unpersist()
+        assert pair_sha256(pairs) == PINNED_SHA256
+        assert ap.stats.as_tuple() == PINNED_STATS
+        assert ap.n_results == len(pairs) == 24
+
+
+class TestSparkResources:
+    def test_task_budget(self, spark, dblp):
+        """One call is one Catalyst plan: AQE sizes every stage, and no
+        stage runs a task per shuffle partition for a cached intermediate."""
+        _, df = dblp
+        ap, jobs, tasks = run_counted(
+            spark, "allpairs-task-budget", lambda: allpairs(spark, df, 0.5)
+        )
+        ap.pairs.unpersist()
+        assert ap.n_results > 0
+        assert tasks < TASK_BUDGET
+        assert jobs <= JOB_BUDGET
+
+    def test_no_persisted_rdd_outlives_the_call(self, spark, dblp):
+        """Each call caches only ``res.pairs``; freeing it restores the
+        session's persisted-RDD count."""
+        _, df = dblp
+        jsc = spark.sparkContext._jsc
+        for lam in (0.5, 0.7, 0.9):
+            before = len(jsc.getPersistentRDDs())
+            ap = allpairs(spark, df, lam)
+            ap.pairs.unpersist()
+            assert len(jsc.getPersistentRDDs()) == before
 
 
 class TestStats:

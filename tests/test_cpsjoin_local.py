@@ -159,8 +159,8 @@ class TestBruteForcePairsArrays:
     def test_matches_truth_with_sketch_disabled(self):
         sets = datasets.generate("KOSARAK", seed=3, scale=0.2)
         truth = brute_force_join(sets, 0.6)
-        mh, sk = _embed(sets)
-        pairs, st = brute_force_pairs_arrays(None, sk, sets, 0.6, delta=1.0)
+        _, sk = _embed(sets)
+        pairs, st = brute_force_pairs_arrays(sk, sets, 0.6, delta=1.0)
         assert {tuple(p) for p in pairs.tolist()} == truth
         n = len(sets)
         assert st.pre_candidates == n * (n - 1) // 2
@@ -169,8 +169,8 @@ class TestBruteForcePairsArrays:
         sets = datasets.generate("DBLP", seed=0, scale=0.2)
         truth = brute_force_join(sets, 0.5)
         assert truth
-        mh, sk = _embed(sets)
-        pairs, _ = brute_force_pairs_arrays(None, sk, sets, 0.5, delta=0.05)
+        _, sk = _embed(sets)
+        pairs, _ = brute_force_pairs_arrays(sk, sets, 0.5, delta=0.05)
         got = {tuple(p) for p in pairs.tolist()}
         assert got <= truth
         assert len(got & truth) / len(truth) >= 0.9

@@ -1,5 +1,4 @@
 """End-to-end tests for the distributed CPSJoin dataflow."""
-import hashlib
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from repro.core.preprocess import preprocess
 from repro.exact import brute_force_join, precision, recall
 from repro.setsynth import collection_to_spark
 
+from ._helpers import pair_set, pair_sha256, run_counted
+
 # SHA-256 of the sorted pair set of the pinned DBLP join below; a change
 # to the driver's Spark plan must not move it.
 PINNED_SHA256 = "1ef2771785deee82c1e2b1e4fe0b5034566fba095e668b3085e0f082fd958596"
@@ -20,15 +21,6 @@ PINNED_SHA256 = "1ef2771785deee82c1e2b1e4fe0b5034566fba095e668b3085e0f082fd95859
 # stage's output was cached (64 tasks per cached stage and per scan of
 # it), 158 since.
 TASK_BUDGET = 200
-
-
-def _pair_set(res) -> set[tuple[int, int]]:
-    return {(int(r["sid_a"]), int(r["sid_b"])) for r in res.pairs.collect()}
-
-
-def _pair_sha256(pairs: set[tuple[int, int]]) -> str:
-    text = "\n".join(f"{a},{b}" for a, b in sorted(pairs))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +129,10 @@ class TestSameOutput:
         _, df = dblp
         res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
                       local_threshold=40)
-        pairs = _pair_set(res)
+        pairs = pair_set(res)
         res.pairs.unpersist()
         assert res.levels == 4
-        assert _pair_sha256(pairs) == PINNED_SHA256
+        assert pair_sha256(pairs) == PINNED_SHA256
         assert res.stats.as_tuple() == (33457, 699, 437)
         assert res.n_results == len(pairs) == 27
 
@@ -155,7 +147,7 @@ class TestSameOutput:
         rows = pre.toPandas().sort_values("sid")
         res = cpsjoin(spark, df, lam, t=64, ell=8, reps=reps, seed=seed,
                       pre=pre, **params)
-        got = _pair_set(res)
+        got = pair_set(res)
         res.pairs.unpersist()
         pre.unpersist()
         assert res.levels == 0
@@ -202,22 +194,9 @@ class TestSparkResources:
         sets = setsynth.zipf_collection(40, 8, 400, seed=5, planted_per_level=3)
         df = collection_to_spark(spark, sets).cache()
         df.count()
-        sc = spark.sparkContext
-        group = "cpsjoin-task-budget"
-        sc.setJobGroup(group, "cpsjoin task budget")
-        try:
-            res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=1)
-            sc._jsc.sc().listenerBus().waitUntilEmpty()
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-            sc.setLocalProperty("spark.job.description", None)
-        tracker = sc.statusTracker()
-        stages = set()
-        for j in tracker.getJobIdsForGroup(group):
-            stages.update(tracker.getJobInfo(j).stageIds)
-        tasks = sum(
-            info.numCompletedTasks
-            for info in map(tracker.getStageInfo, stages) if info is not None
+        res, _, tasks = run_counted(
+            spark, "cpsjoin-task-budget",
+            lambda: cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=1),
         )
         res.pairs.unpersist()
         df.unpersist()

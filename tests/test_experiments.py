@@ -105,9 +105,13 @@ class TestTable3:
 
 class TestTable4:
     def test_counts(self, spark):
+        jsc = spark.sparkContext._jsc
+        before = len(jsc.getPersistentRDDs())
         rows = table4_rows(
             spark, ["TOKENS10K"], [0.5], scale=0.2, t=32, ell=4, cp_reps=6,
         )
+        # Every cached result is released once its row is built.
+        assert len(jsc.getPersistentRDDs()) == before
         [r] = rows
         assert r["all_pre"] >= r["all_cand"] >= r["all_res"] > 0
         assert r["cp_pre"] >= r["cp_cand"] >= r["cp_res"] > 0

@@ -53,6 +53,10 @@ class TestSizeFilter:
         # only if x subset of y; still feasible).
         assert size_filter(np.array([5]), np.array([10]), 0.5)[0]
 
+    def test_ratio_exactly_lambda(self):
+        # 55/100 == 0.55 as doubles, but 0.55 * 100 rounds above 55.
+        assert size_filter(np.array([55]), np.array([100]), 0.55)[0]
+
     def test_order_invariant(self):
         a, b = np.array([3, 12]), np.array([12, 3])
         np.testing.assert_array_equal(
