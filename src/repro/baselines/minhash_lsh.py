@@ -19,26 +19,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from ..core.cpsjoin import _OUT_SCHEMA, _collect_pairs, _with_counters
 from ..core.cpsjoin_local import JoinStats, brute_force_pairs_arrays
 from ..core.preprocess import preprocess
 
 __all__ = ["MinHashLSHResult", "minhash_lsh_join", "choose_k", "reps_for_recall"]
 
-_OUT_SCHEMA = T.StructType(
-    [
-        T.StructField("kind", T.IntegerType(), False),
-        T.StructField("a", T.LongType(), False),
-        T.StructField("b", T.LongType(), False),
-        T.StructField("rep", T.IntegerType(), False),
-        T.StructField("pre_candidates", T.LongType(), False),
-        T.StructField("candidates", T.LongType(), False),
-        T.StructField("results", T.LongType(), False),
-    ]
+# Pairs and counter rows, each tagged with the repetition that produced it.
+_REP_SCHEMA = T.StructType(
+    _OUT_SCHEMA.fields + [T.StructField("rep", T.IntegerType(), False)]
 )
 
 
@@ -112,24 +105,23 @@ def minhash_lsh_join(
 
     ``pre`` may supply a cached ``preprocess`` output whose ``t`` is at
     least ``k * reps`` MinHash coordinates (each repetition uses its own
-    disjoint slice).
+    disjoint slice).  An embedding the call makes itself is released
+    before it returns, so a call leaves only ``res.pairs`` persisted.
     """
-    if k is None or pre is None:
+    own_pre = pre is None
+    chosen = k is None
+    if chosen:
         # Probe embedding for k selection; final embedding sized to fit.
-        probe = pre
-        if probe is None:
-            probe = preprocess(sets_df, t=12, ell=ell, seed=seed).cache()
-        if k is None:
-            k = choose_k(spark, probe, lam, phi=phi, seed=seed)
-        if reps is None:
-            reps = reps_for_recall(lam, k, phi)
-        need = k * reps
-        if pre is None or len(pre.select("mh").first()["mh"]) < need:
-            if pre is None and probe is not None:
-                probe.unpersist()
-            pre = preprocess(sets_df, t=need, ell=ell, seed=seed + 1).cache()
+        probe = preprocess(sets_df, t=12, ell=ell, seed=seed).cache() if own_pre else pre
+        k = choose_k(spark, probe, lam, phi=phi, seed=seed)
+        if own_pre:
+            probe.unpersist()
     if reps is None:
         reps = reps_for_recall(lam, k, phi)
+    if chosen and not own_pre:
+        own_pre = len(pre.select("mh").first()["mh"]) < k * reps
+    if own_pre:
+        pre = preprocess(sets_df, t=k * reps, ell=ell, seed=seed + 1).cache()
 
     reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
     bucketed = (
@@ -144,62 +136,21 @@ def minhash_lsh_join(
     )
 
     def run_bucket(key, pdf):
-        rep = int(key[0])
-        if len(pdf) < 2:
-            return pd.DataFrame(
-                columns=[f.name for f in _OUT_SCHEMA.fields]
-            ).astype({"kind": np.int32, "a": np.int64, "b": np.int64,
-                      "rep": np.int32, "pre_candidates": np.int64,
-                      "candidates": np.int64, "results": np.int64})
         sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
-        tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
         sids = pdf["sid"].to_numpy()
-        pairs, st = brute_force_pairs_arrays(sketch, tokens, lam, delta=delta)
-        sa = np.minimum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        sb = np.maximum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        out = pd.DataFrame(
-            {
-                "kind": np.zeros(len(sa), dtype=np.int32),
-                "a": sa.astype(np.int64),
-                "b": sb.astype(np.int64),
-                "rep": np.full(len(sa), rep, dtype=np.int32),
-                "pre_candidates": np.zeros(len(sa), dtype=np.int64),
-                "candidates": np.zeros(len(sa), dtype=np.int64),
-                "results": np.zeros(len(sa), dtype=np.int64),
-            }
-        )
-        srow = pd.DataFrame(
-            {
-                "kind": [1], "a": [-1], "b": [-1], "rep": [rep],
-                "pre_candidates": [st.pre_candidates],
-                "candidates": [st.candidates],
-                "results": [st.results],
-            }
-        )
-        return pd.concat([out, srow], ignore_index=True)
+        pairs, st = brute_force_pairs_arrays(sketch, pdf["tokens"], lam, delta=delta)
+        out = _with_counters(sids[pairs[:, 0]], sids[pairs[:, 1]], st)
+        out["rep"] = np.int32(key[0])
+        return out
 
-    out = bucketed.groupBy("rep", "bkt").applyInPandas(
-        run_bucket, schema=_OUT_SCHEMA
-    ).cache()
-    srow = (
-        out.filter("kind = 1")
-        .agg(
-            F.sum("pre_candidates").alias("p"),
-            F.sum("candidates").alias("c"),
-            F.sum("results").alias("r"),
+    try:
+        out = bucketed.groupBy("rep", "bkt").applyInPandas(
+            run_bucket, schema=_REP_SCHEMA
         )
-        .first()
-    )
-    stats = JoinStats(
-        int(srow["p"] or 0), int(srow["c"] or 0), int(srow["r"] or 0)
-    )
-    pairs = (
-        out.filter("kind = 0")
-        .groupBy(F.col("a").alias("sid_a"), F.col("b").alias("sid_b"))
-        .agg(F.min("rep").alias("first_rep"))
-        .cache()
-    )
-    n_results = pairs.count()
+        pairs, stats, n_results = _collect_pairs(out, F.min("rep").alias("first_rep"))
+    finally:
+        if own_pre:
+            pre.unpersist()
     return MinHashLSHResult(
         pairs=pairs, stats=stats, n_results=n_results, k=int(k), reps=int(reps)
     )

@@ -45,10 +45,8 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 from pyspark.sql.window import Window
 
-from .cpsjoin_local import JoinStats, cpsjoin_local_rep
+from .cpsjoin_local import JoinStats, _check_pairs, cpsjoin_local_rep
 from .preprocess import preprocess
-from .sketches import sketch_pass
-from .verify import jaccard
 
 __all__ = ["CPSJoinResult", "cpsjoin", "bucket_seed"]
 
@@ -83,15 +81,39 @@ def bucket_seed(seed: int, rep: int, path: int) -> int:
 
 
 def _with_counters(a, b, stats: JoinStats) -> pd.DataFrame:
-    """``_OUT_SCHEMA`` rows: the pairs ``(a, b)``, then one counter row."""
-    out = pd.DataFrame(
-        {"a": np.append(a, -1).astype(np.int64), "b": np.append(b, -1).astype(np.int64)}
-    )
+    """``_OUT_SCHEMA`` rows: the pairs ``(a, b)`` as ``a < b``, then one counter row."""
+    out = pd.DataFrame({
+        "a": np.append(np.minimum(a, b), -1).astype(np.int64),
+        "b": np.append(np.maximum(a, b), -1).astype(np.int64),
+    })
     for name, value in zip(_COUNTERS, stats.as_tuple()):
         col = np.zeros(len(out), dtype=np.int64)
         col[-1] = value
         out[name] = col
     return out
+
+
+def _collect_pairs(out: DataFrame, *aggs) -> tuple[DataFrame, JoinStats, int]:
+    """Dedup the pairs of ``_OUT_SCHEMA`` rows and sum their counters.
+
+    One ``groupBy(a, b)`` dedups the pairs and folds every counter row
+    into ``(-1, -1)``; ``aggs`` are further per-pair aggregates kept as
+    columns.  Only the pairs ``(sid_a, sid_b, *aggs)`` are cached, and the
+    one action that materialises them also returns the counters through
+    an ``Observation``.  Returns ``(pairs, stats, n_results)``.
+    """
+    sums = [F.sum(c).alias(c) for c in _COUNTERS]
+    totals = Observation()
+    pairs = (
+        out.groupBy("a", "b").agg(*sums, *aggs)
+        .observe(totals, *sums)
+        .filter(F.col("a") >= 0)
+        .drop(*_COUNTERS)
+        .withColumnsRenamed({"a": "sid_a", "b": "sid_b"})
+        .cache()
+    )
+    n_results = pairs.count()
+    return pairs, JoinStats(*(int(totals.get[c] or 0) for c in _COUNTERS)), n_results
 
 
 def _release_checkpoint(df: DataFrame) -> None:
@@ -232,9 +254,7 @@ def cpsjoin(
                 mh, sketch, tokens, lam,
                 limit=limit, eps=eps, delta=delta, seed=bucket_seed(seed, rep, path),
             )
-            sa = np.minimum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-            sb = np.maximum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-            return _with_counters(sa, sb, st)
+            return _with_counters(sids[pairs[:, 0]], sids[pairs[:, 1]], st)
 
         out = local_rows.groupBy("rep", "path").applyInPandas(
             run_bucket, schema=_OUT_SCHEMA
@@ -252,19 +272,7 @@ def cpsjoin(
             )
             out = out.unionByName(_verify_pairs_df(bfp_all, pre, lam, delta))
 
-        # Dedup the pairs and fold every counter row into (-1, -1); the action
-        # that caches the pairs also sums the counters.
-        sums = [F.sum(c).alias(c) for c in _COUNTERS]
-        totals = Observation()
-        pairs_df = (
-            out.groupBy("a", "b").agg(*sums)
-            .observe(totals, *sums)
-            .filter(F.col("a") >= 0)
-            .select(F.col("a").alias("sid_a"), F.col("b").alias("sid_b"))
-            .cache()
-        )
-        n_results = pairs_df.count()
-        stats = JoinStats(*(int(totals.get[c] or 0) for c in _COUNTERS))
+        pairs_df, stats, n_results = _collect_pairs(out)
         return CPSJoinResult(pairs=pairs_df, stats=stats, n_results=n_results,
                              levels=level)
     finally:
@@ -277,7 +285,7 @@ def cpsjoin(
 def _verify_pairs_df(
     pairs: DataFrame, pre: DataFrame, lam: float, delta: float
 ) -> DataFrame:
-    """Size check -> sketch check -> exact Jaccard for ``(a, b, mult)`` rows.
+    """The candidate check (``_check_pairs``) for ``(a, b, mult)`` rows.
 
     Each distinct pair is verified once; its ``mult`` (how many times
     the candidate generator produced it) weights the pre-candidate and
@@ -305,39 +313,21 @@ def _verify_pairs_df(
 
     def run(batches):
         for pdf in batches:
-            if len(pdf) == 0:
+            n = len(pdf)
+            if n == 0:
                 continue
+            # Records 0..n-1 are the a-sides, n..2n-1 the b-sides.
+            tokens = list(pdf["tokens_a"]) + list(pdf["tokens_b"])
+            sizes = np.concatenate([pdf["size_a"].to_numpy(), pdf["size_b"].to_numpy()])
+            sketches = np.stack(
+                np.concatenate([pdf["sketch_a"].to_numpy(), pdf["sketch_b"].to_numpy()])
+            ).astype(np.int64).view(np.uint64)
+            ia = np.arange(n)
+            cand, hit = _check_pairs(tokens, sizes, sketches, ia, ia + n, lam, delta)
             mult = pdf["mult"].to_numpy()
-            n = int(mult.sum())
-            sa = pdf["size_a"].to_numpy()
-            sb = pdf["size_b"].to_numpy()
-            ok = np.minimum(sa, sb) >= lam * np.maximum(sa, sb)
-            cand = pdf[ok]
-            n_cand = 0
-            rows_a, rows_b = [], []
-            if len(cand):
-                ska = np.stack(cand["sketch_a"].to_numpy()).astype(np.int64).view(
-                    np.uint64
-                )
-                skb = np.stack(cand["sketch_b"].to_numpy()).astype(np.int64).view(
-                    np.uint64
-                )
-                mask = sketch_pass(ska, skb, lam, delta)
-                cand = cand[mask]
-                n_cand = int(cand["mult"].to_numpy().sum())
-                for a, b, ta, tb in zip(
-                    cand["a"].tolist(), cand["b"].tolist(),
-                    cand["tokens_a"].tolist(), cand["tokens_b"].tolist(),
-                ):
-                    if jaccard(
-                        np.asarray(ta, dtype=np.int64),
-                        np.asarray(tb, dtype=np.int64),
-                    ) >= lam:
-                        rows_a.append(int(a))
-                        rows_b.append(int(b))
             yield _with_counters(
-                np.asarray(rows_a, dtype=np.int64), np.asarray(rows_b, dtype=np.int64),
-                JoinStats(n, n_cand, len(rows_a)),
+                pdf["a"].to_numpy()[hit], pdf["b"].to_numpy()[hit],
+                JoinStats(int(mult.sum()), int(mult[cand].sum()), int(hit.sum())),
             )
 
     return sides.mapInPandas(run, schema=_OUT_SCHEMA)

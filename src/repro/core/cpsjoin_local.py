@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sketches import sketch_pass
-from .verify import jaccard
+from .verify import jaccard, size_filter
 
 __all__ = ["JoinStats", "cpsjoin_local_rep", "brute_force_pairs_arrays"]
 
@@ -71,34 +71,43 @@ class _Ctx:
         self.limit = limit
         self.max_depth = max_depth
         self.rng = rng
-        self.pairs: list[tuple[int, int]] = []
+        self.pairs: list[np.ndarray] = []  # (m, 2) blocks of a < b pairs
         self.stats = JoinStats()
         self.t = mh.shape[1]
 
 
-def _check_pairs(ctx: _Ctx, ia: np.ndarray, ib: np.ndarray) -> None:
-    """Run candidate pairs through size check -> sketch check -> exact."""
-    n = len(ia)
-    if n == 0:
-        return
-    ctx.stats.pre_candidates += n
-    sa, sb = ctx.sizes[ia], ctx.sizes[ib]
-    ok = np.minimum(sa, sb) >= ctx.lam * np.maximum(sa, sb)
-    ia, ib = ia[ok], ib[ok]
-    if len(ia) == 0:
-        return
-    ok = sketch_pass(ctx.sketches[ia], ctx.sketches[ib], ctx.lam, ctx.delta)
-    ia, ib = ia[ok], ib[ok]
-    ctx.stats.candidates += len(ia)
-    for a, b in zip(ia.tolist(), ib.tolist()):
-        if jaccard(ctx.tokens[a], ctx.tokens[b]) >= ctx.lam:
-            ctx.stats.results += 1
-            ctx.pairs.append((a, b) if a < b else (b, a))
+def _check_pairs(tokens, sizes, sketches, ia, ib, lam: float, delta: float):
+    """Size check -> 1-bit sketch check -> exact Jaccard on pairs ``(ia, ib)``.
+
+    The one candidate check of every sketch-based join.  ``tokens``,
+    ``sizes`` and ``sketches`` are per-record; ``ia`` and ``ib`` index
+    into them.  Returns boolean masks over the pairs: ``cand`` (passed the
+    size and sketch checks) and ``hit`` (also ``J >= lam``; implies
+    ``cand``).  The caller counts them.
+    """
+    cand = size_filter(sizes[ia], sizes[ib], lam)
+    keep = np.flatnonzero(cand)
+    if len(keep):
+        cand[keep] = sketch_pass(sketches[ia[keep]], sketches[ib[keep]], lam, delta)
+    hit = np.zeros(len(cand), dtype=bool)
+    for k in np.flatnonzero(cand).tolist():
+        hit[k] = jaccard(tokens[ia[k]], tokens[ib[k]]) >= lam
+    return cand, hit
+
+
+def _check(ctx: _Ctx, ia: np.ndarray, ib: np.ndarray) -> None:
+    """Count pairs ``(ia, ib)`` through the candidate check; keep the hits."""
+    cand, hit = _check_pairs(ctx.tokens, ctx.sizes, ctx.sketches, ia, ib,
+                             ctx.lam, ctx.delta)
+    ctx.stats.merge(JoinStats(len(ia), int(cand.sum()), int(hit.sum())))
+    if hit.any():
+        a, b = ia[hit], ib[hit]
+        ctx.pairs.append(np.column_stack([np.minimum(a, b), np.maximum(a, b)]))
 
 
 def _brute_force_pairs(ctx: _Ctx, idx: np.ndarray) -> None:
     ia, ib = np.triu_indices(len(idx), k=1)
-    _check_pairs(ctx, idx[ia], idx[ib])
+    _check(ctx, idx[ia], idx[ib])
 
 
 def _node(ctx: _Ctx, idx: np.ndarray, depth: int) -> None:
@@ -126,7 +135,7 @@ def _node(ctx: _Ctx, idx: np.ndarray, depth: int) -> None:
         # but reported once via the a<b canonical ordering + caller dedup).
         for x in rem_idx.tolist():
             others = idx[idx != x]
-            _check_pairs(ctx, np.full(len(others), x, dtype=np.int64), others)
+            _check(ctx, np.full(len(others), x, dtype=np.int64), others)
         idx = idx[~removed]
         sub = sub[~removed]
         if len(idx) < 2:
@@ -167,7 +176,7 @@ def cpsjoin_local_rep(
                np.random.default_rng(seed))
     _node(ctx, np.arange(len(tokens), dtype=np.int64), 0)
     if ctx.pairs:
-        pairs = np.unique(np.array(ctx.pairs, dtype=np.int64), axis=0)
+        pairs = np.unique(np.concatenate(ctx.pairs), axis=0)
     else:
         pairs = np.empty((0, 2), dtype=np.int64)
     return pairs, ctx.stats
@@ -180,18 +189,14 @@ def brute_force_pairs_arrays(
     *,
     delta: float = 0.05,
 ) -> tuple[np.ndarray, JoinStats]:
-    """All-pairs comparison of one bucket (shared by MinHash LSH / BayesLSH).
+    """All-pairs comparison of one bucket (MinHash LSH's in-bucket step).
 
-    Same sketch-then-exact pipeline and counters as CPSJoin's
-    BRUTEFORCEPAIRS, exposed for bucket-based baselines.
+    CPSJoin's BRUTEFORCEPAIRS: every pair through ``_check_pairs``.
+    Returns the verified index pairs (a < b, sorted) and their counters.
     """
-    ctx = _Ctx(
-        np.empty((len(tokens), 1), dtype=np.int64), sketches, tokens, lam,
-        0.0, delta, len(tokens) + 1, 1, np.random.default_rng(0),
-    )
-    _brute_force_pairs(ctx, np.arange(len(tokens), dtype=np.int64))
-    if ctx.pairs:
-        pairs = np.unique(np.array(ctx.pairs, dtype=np.int64), axis=0)
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    return pairs, ctx.stats
+    tokens = [np.asarray(x, dtype=np.int64) for x in tokens]
+    sizes = np.array([len(x) for x in tokens], dtype=np.int64)
+    ia, ib = np.triu_indices(len(tokens), k=1)
+    cand, hit = _check_pairs(tokens, sizes, sketches, ia, ib, lam, delta)
+    pairs = np.column_stack([ia[hit], ib[hit]]).astype(np.int64)
+    return pairs, JoinStats(len(ia), int(cand.sum()), int(hit.sum()))

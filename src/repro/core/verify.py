@@ -1,16 +1,19 @@
-"""Exact Jaccard verification of candidate pairs.
+"""Exact Jaccard verification and the size check of candidate pairs.
 
-All four algorithms share one verification kernel, mirroring the paper
-(which reuses Mann et al.'s ALLPAIRS verifier everywhere): a candidate
-pair is a *result* iff the exact Jaccard similarity of the original
-token sets is ``>= lam``.  Token arrays are kept sorted & deduplicated
-by the data loaders so intersections are linear merges.
+Every join shares one verification kernel, mirroring the paper (which
+reuses Mann et al.'s ALLPAIRS verifier everywhere): a candidate pair is
+a *result* iff the exact Jaccard similarity of the original token sets
+is ``>= lam``.  The sketch-based joins (CPSJoin's kernel and its
+distributed pair verification, MinHash LSH) reach it only through
+``cpsjoin_local._check_pairs``; ALLPAIRS makes the same division in the
+JVM.  Token arrays are kept sorted & deduplicated by the data loaders so
+intersections are linear merges.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["jaccard", "verify_pairs", "size_filter"]
+__all__ = ["jaccard", "size_filter"]
 
 
 def jaccard(tokens_a: np.ndarray, tokens_b: np.ndarray) -> float:
@@ -31,15 +34,3 @@ def size_filter(sizes_a: np.ndarray, sizes_b: np.ndarray, lam: float) -> np.ndar
     lo = np.minimum(sizes_a, sizes_b)
     hi = np.maximum(sizes_a, sizes_b)
     return lo / hi >= lam
-
-
-def verify_pairs(tokens, ia: np.ndarray, ib: np.ndarray, lam: float) -> np.ndarray:
-    """Exact-verify candidate pairs given by index arrays into ``tokens``.
-
-    ``tokens`` is a sequence of sorted unique token arrays.  Returns a
-    boolean mask over the pairs with ``J(tokens[ia], tokens[ib]) >= lam``.
-    """
-    out = np.empty(len(ia), dtype=bool)
-    for k in range(len(ia)):
-        out[k] = jaccard(tokens[ia[k]], tokens[ib[k]]) >= lam
-    return out

@@ -18,7 +18,6 @@ from pyspark.sql import SparkSession
 
 from . import datasets
 from .baselines.allpairs import allpairs
-from .baselines.bayeslsh import bayeslsh_join
 from .baselines.minhash_lsh import choose_k, minhash_lsh_join, reps_for_recall
 from .core.cpsjoin import cpsjoin
 from .core.preprocess import preprocess

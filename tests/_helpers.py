@@ -1,6 +1,11 @@
 """Helpers shared by the Spark join tests."""
 import hashlib
 
+import duckdb
+
+from repro.exact import exact_join_sql
+from repro.setsynth import collection_to_pandas
+
 
 def pair_set(res) -> set[tuple[int, int]]:
     """The ``(sid_a, sid_b)`` pairs of a join result."""
@@ -11,6 +16,16 @@ def pair_sha256(pairs: set[tuple[int, int]]) -> str:
     """SHA-256 of a sorted pair set, one ``a,b`` line per pair."""
     text = "\n".join(f"{a},{b}" for a, b in sorted(pairs))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def oracle_pairs(sets, lam: float) -> set[tuple[int, int]]:
+    """The DuckDB exact join of ``sets`` (sid = list index) at ``lam``."""
+    con = duckdb.connect()
+    try:
+        con.register("sets", collection_to_pandas(sets))
+        return {(int(a), int(b)) for a, b in con.execute(exact_join_sql(lam)).fetchall()}
+    finally:
+        con.close()
 
 
 def run_counted(spark, group: str, fn):

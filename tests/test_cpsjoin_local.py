@@ -5,11 +5,14 @@ import pytest
 from repro import datasets
 from repro.core.cpsjoin_local import (
     JoinStats,
+    _check_pairs,
     brute_force_pairs_arrays,
     cpsjoin_local_rep,
 )
 from repro.core.minhash import MinHasher
 from repro.exact import brute_force_join
+
+from ._helpers import oracle_pairs
 
 SMALL = ["DBLP", "UNIFORM005", "NETFLIX", "KOSARAK", "ENRON", "TOKENS10K"]
 
@@ -51,6 +54,30 @@ class TestExactSmallCase:
             mh, sk, sets, lam, limit=len(sets) + 1, delta=1.0, seed=0
         )
         assert {tuple(p) for p in pairs.tolist()} == truth
+
+
+class TestExactThreshold:
+    """J = 55/100 equals lam = 0.55 in double arithmetic, but ``0.55 * 100``
+    rounds to 55.00000000000001: a size check built on that product drops
+    the pair.  The sketch filter is off (``delta = 1``) so only the size
+    check and the exact verification decide."""
+
+    SETS = [np.arange(100), np.arange(45, 100)]
+
+    def test_shared_check_keeps_pair_at_exactly_lambda(self):
+        sets = self.SETS + [np.arange(10)]  # (0, 2): |small| / |big| = 0.1
+        _, sk = _embed(sets)
+        cand, hit = _check_pairs(
+            sets, np.array([100, 55, 10]), sk, np.array([0, 0]), np.array([1, 2]),
+            0.55, 1.0,
+        )
+        assert cand.tolist() == hit.tolist() == [True, False]
+
+    def test_kernel_matches_oracle(self):
+        mh, sk = _embed(self.SETS)
+        pairs, st = cpsjoin_local_rep(mh, sk, self.SETS, 0.55, delta=1.0, seed=0)
+        assert {tuple(p) for p in pairs.tolist()} == oracle_pairs(self.SETS, 0.55)
+        assert st.as_tuple() == (1, 1, 1)
 
 
 class TestPrecision:

@@ -8,8 +8,9 @@ from repro import datasets, setsynth
 from repro.core.cpsjoin import bucket_seed, cpsjoin
 from repro.core.cpsjoin_local import JoinStats, cpsjoin_local_rep
 from repro.core.preprocess import preprocess
-from repro.exact import brute_force_join, precision, recall
-from repro.setsynth import collection_to_spark
+from repro.exact import brute_force_join, exact_join_sql, precision, recall
+from repro.oracle import assert_equivalent
+from repro.setsynth import collection_to_pandas, collection_to_spark
 
 from ._helpers import pair_set, pair_sha256, run_counted
 
@@ -65,6 +66,27 @@ class TestCorrectness:
         res = cpsjoin(spark, df, 0.95, t=32, ell=4, reps=3, seed=0)
         got = {(r["sid_a"], r["sid_b"]) for r in res.pairs.collect()}
         assert got <= truth
+
+
+class TestExactThreshold:
+    @pytest.mark.parametrize("local_threshold", [4000, 1])
+    def test_pair_at_exactly_lambda(self, spark, local_threshold):
+        """J = 55/100 equals lam = 0.55 in double arithmetic, but
+        ``0.55 * 100`` rounds to 55.00000000000001.  The pair goes to a
+        local bucket, or with ``local_threshold=1`` through BRUTEFORCEPOINT
+        (``eps=0.5`` makes both records hot) to ``_verify_pairs_df``."""
+        sets = [np.arange(100), np.arange(45, 100)]
+        df = collection_to_spark(spark, sets)
+        res = cpsjoin(spark, df, 0.55, t=64, ell=8, reps=2, eps=0.5, delta=1.0,
+                      seed=0, local_threshold=local_threshold)
+        assert_equivalent(
+            res.pairs, exact_join_sql(0.55), sets=collection_to_pandas(sets)
+        )
+        got = pair_set(res)
+        res.pairs.unpersist()
+        assert res.levels == (local_threshold == 1)
+        assert got == {(0, 1)}
+        assert res.stats.results >= 1
 
 
 class TestStructure:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.verify import jaccard, size_filter, verify_pairs
+from repro.core.verify import jaccard, size_filter
 
 set_strategy = st.sets(st.integers(0, 200), min_size=1, max_size=40)
 
@@ -63,20 +63,3 @@ class TestSizeFilter:
             size_filter(a, b, 0.6), size_filter(b, a, 0.6)
         )
 
-
-class TestVerifyPairs:
-    def test_mask(self):
-        tokens = [
-            np.array([1, 2, 3, 4]),
-            np.array([1, 2, 3, 5]),
-            np.array([10, 11]),
-        ]
-        ia = np.array([0, 0])
-        ib = np.array([1, 2])
-        mask = verify_pairs(tokens, ia, ib, 0.5)
-        # J(0,1) = 3/5 = 0.6 >= 0.5; J(0,2) = 0.
-        np.testing.assert_array_equal(mask, [True, False])
-
-    def test_empty(self):
-        mask = verify_pairs([], np.array([], dtype=int), np.array([], dtype=int), 0.5)
-        assert mask.shape == (0,)
