@@ -2,7 +2,9 @@
 
 Each repetition buckets every set by ``k`` concatenated MinHash values
 and brute-forces all pairs within a bucket through the shared
-size-check -> 1-bit-sketch -> exact-Jaccard pipeline.  ``k`` is chosen
+size-check -> 1-bit-sketch -> exact-Jaccard pipeline.  Buckets run
+through CPSJoin's bucket runner (``core.cpsjoin._map_buckets``, many
+buckets per Python call) and its dedup-and-counter tail.  ``k`` is chosen
 per dataset/threshold by estimating, from the bucket-size histogram of
 a probe repetition, the combined cost of hashing and in-bucket
 comparisons (the Cohen et al. idea the paper implements); the number of
@@ -23,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..core.cpsjoin import _OUT_SCHEMA, _collect_pairs, _with_counters
+from ..core.cpsjoin import _OUT_SCHEMA, _collect_pairs, _map_buckets, _with_counters
 from ..core.cpsjoin_local import JoinStats, brute_force_pairs_arrays
 from ..core.preprocess import preprocess
 
@@ -144,9 +146,7 @@ def minhash_lsh_join(
         return out
 
     try:
-        out = bucketed.groupBy("rep", "bkt").applyInPandas(
-            run_bucket, schema=_REP_SCHEMA
-        )
+        out = _map_buckets(bucketed, ["rep", "bkt"], run_bucket, _REP_SCHEMA)
         pairs, stats, n_results = _collect_pairs(out, F.min("rep").alias("first_rep"))
     finally:
         if own_pre:

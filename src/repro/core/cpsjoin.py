@@ -4,10 +4,11 @@ Level-by-level Chosen-Path recursion over a DataFrame of
 ``(rep, path, sid)`` rows (all repetitions run in one dataflow; the
 root path of repetition ``r`` is ``xxhash64(r, seed)``):
 
-1. bucket sizes as a window count over ``(rep, path)``;
-2. buckets that fit in one task (``<= local_threshold`` records) are
-   grouped with ``applyInPandas`` and finished by the exact in-memory
-   recursion of Algorithms 1+2 (``core.cpsjoin_local``);
+1. bucket sizes as a window count over ``(rep, path)``; the level's one
+   action reads the largest;
+2. buckets that fit in one task (``<= local_threshold`` records) go to
+   ``_map_buckets`` (many buckets per Python call) and are finished by the
+   exact in-memory recursion of Algorithms 1+2 (``core.cpsjoin_local``);
 3. larger buckets get the distributed BRUTEFORCE step: per-bucket
    MinHash-coordinate value counts give every record's average embedded
    similarity to its bucket; records above ``(1 - eps) * lam`` become
@@ -18,7 +19,14 @@ root path of repetition ``r`` is ``xxhash64(r, seed)``):
    node, the §V-A3 heuristic) and the child bucket id is
    ``xxhash64(path, i, mh_i(x))`` — sets sharing the sampled MinHash
    value meet again one level down, which happens with probability
-   ``J(x, y)`` per sampled coordinate.
+   ``J(x, y)`` per sampled coordinate.  ``t`` is the embedding's length.
+
+Every repetition's root bucket holds the whole input, so the root level
+runs once: its BRUTEFORCEPOINT pairs carry the weight ``reps``, and its
+survivors and local rows are copied to every repetition's root path
+before they split or go to the kernel.  Each level's bucket sizes and
+BRUTEFORCE similarities are lazy local checkpoints, computed once and
+released before ``cpsjoin`` returns.
 
 Candidate pairs from both routes run the shared pipeline: size check,
 1-bit sketch check (false-negative rate ``delta``), exact Jaccard
@@ -28,10 +36,11 @@ verification, global dedup.  Counters follow Table IV semantics
 Both pandas stages emit their verified pairs plus counter rows keyed
 ``(-1, -1)``; they are unioned uncached and one ``groupBy(a, b)`` dedups
 the pairs and folds the counters.  Only that aggregate (minus its counter
-row) is cached, and the one action that materialises it also returns the
-counters through an ``Observation``.  No pandas-UDF output is cached
-directly: AQE does not change a cached plan's output partitioning, so a
-cached pandas stage would run one Python task per shuffle partition.
+row, coalesced to the session's task slots) is cached, and the one action
+that materialises it also returns the counters through an
+``Observation``.  No pandas-UDF output is cached directly: AQE does not
+change a cached plan's output partitioning, so a cached pandas stage
+would run one Python task per shuffle partition.
 """
 from __future__ import annotations
 
@@ -98,9 +107,10 @@ def _collect_pairs(out: DataFrame, *aggs) -> tuple[DataFrame, JoinStats, int]:
 
     One ``groupBy(a, b)`` dedups the pairs and folds every counter row
     into ``(-1, -1)``; ``aggs`` are further per-pair aggregates kept as
-    columns.  Only the pairs ``(sid_a, sid_b, *aggs)`` are cached, and the
-    one action that materialises them also returns the counters through
-    an ``Observation``.  Returns ``(pairs, stats, n_results)``.
+    columns.  Only the pairs ``(sid_a, sid_b, *aggs)`` are cached, in at
+    most ``defaultParallelism`` partitions, and the one action that
+    materialises them also returns the counters through an
+    ``Observation``.  Returns ``(pairs, stats, n_results)``.
     """
     sums = [F.sum(c).alias(c) for c in _COUNTERS]
     totals = Observation()
@@ -110,10 +120,50 @@ def _collect_pairs(out: DataFrame, *aggs) -> tuple[DataFrame, JoinStats, int]:
         .filter(F.col("a") >= 0)
         .drop(*_COUNTERS)
         .withColumnsRenamed({"a": "sid_a", "b": "sid_b"})
+        # AQE cannot coalesce a cached plan: without this the aggregate and
+        # every scan of the cache run one task per shuffle partition.
+        .coalesce(out.sparkSession.sparkContext.defaultParallelism)
         .cache()
     )
     n_results = pairs.count()
     return pairs, JoinStats(*(int(totals.get[c] or 0) for c in _COUNTERS)), n_results
+
+
+def _map_buckets(df: DataFrame, keys: list[str], fn, schema) -> DataFrame:
+    """Run ``fn(key, pdf)`` on every bucket of ``df`` (its rows of one ``keys`` value).
+
+    The grouped-map pandas UDF does the same with one Python call per
+    bucket; here one call runs many.  Rows are hash-partitioned on ``keys``
+    (with no partition count, so AQE sizes the stage) and sorted within
+    each partition, so every bucket is one run of equal keys.
+    ``mapInPandas`` cuts each Arrow batch at key changes and carries the
+    run a batch ends in into the next batch, so ``fn`` sees each bucket
+    whole and once.  ``fn`` returns ``schema`` rows; the outputs of the
+    buckets a batch completes are emitted together.
+    """
+
+    def run(batches):
+        held, held_key = [], None  # the bucket the previous batch ended in
+        for pdf in batches:
+            if not len(pdf):
+                continue
+            key = pdf[keys].to_numpy()
+            starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
+            ends = np.append(starts[1:], len(pdf))
+            outs = []
+            for s, e in zip(starts.tolist(), ends.tolist()):
+                k = tuple(key[s].tolist())
+                if held and k != held_key:
+                    outs.append(fn(held_key, pd.concat(held, ignore_index=True)))
+                    held = []
+                held_key = k
+                held.append(pdf.iloc[s:e])
+            if outs:
+                yield pd.concat(outs, ignore_index=True)
+        if held:
+            yield fn(held_key, pd.concat(held, ignore_index=True))
+
+    return df.repartition(*keys).sortWithinPartitions(*keys).mapInPandas(run, schema)
 
 
 def _release_checkpoint(df: DataFrame) -> None:
@@ -156,7 +206,9 @@ def cpsjoin(
 
     ``pre`` optionally supplies an already-cached ``preprocess`` output
     so the embedding cost is shared across runs (the paper excludes
-    preprocessing from join times for the same reason).
+    preprocessing from join times for the same reason).  ``t`` and ``ell``
+    size only an embedding the call makes itself; the join reads ``t``
+    off the embedding it uses.
     """
     if not 0 < lam < 1:
         raise ValueError(f"lam must be in (0,1), got {lam}")
@@ -167,11 +219,20 @@ def cpsjoin(
     checkpoints: list[DataFrame] = []  # released once the pairs are cached
     try:
         reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
-        active = (
-            pre.select("sid")
-            .crossJoin(reps_df)
-            .withColumn("path", F.xxhash64("rep", F.lit(seed)))
-            .select("rep", "path", "sid")
+
+        def per_rep(rows: DataFrame) -> DataFrame:
+            """The root bucket's ``rows``, once per repetition under its root path."""
+            return (
+                rows.drop("rep", "path")
+                .crossJoin(reps_df)
+                .withColumn("path", F.xxhash64("rep", F.lit(seed)))
+            )
+
+        # Every repetition's root bucket holds every record, so the root
+        # level runs once, as the one bucket (rep, path) = (-1, 0); its
+        # BRUTEFORCEPOINT pairs count once per repetition (weight ``w``).
+        active = pre.select(
+            F.lit(-1).alias("rep"), F.lit(0).cast("long").alias("path"), "sid"
         )
 
         # Bucket sizes and coordinate-value counts are window counts: one
@@ -185,33 +246,45 @@ def cpsjoin(
         while True:
             # A local checkpoint keeps later levels from recomputing this one
             # and keeps the partitioning AQE chose.  The level's one action
-            # materialises it and sizes the largest bucket.
+            # materialises it and sizes the largest bucket: a top-1, which
+            # runs one job where a global max adds a shuffle and a second.
             tagged = active.withColumn(
                 "gsize", F.count("*").over(by_bucket)
             ).localCheckpoint(eager=False)
             checkpoints.append(tagged)
-            largest = tagged.agg(F.max("gsize")).first()[0]
+            top = tagged.select("gsize").orderBy(F.desc("gsize")).first()
+            largest = top[0] if top else None
+            expand = per_rep if level == 0 else (lambda rows: rows)
             small = tagged.filter(
                 (F.col("gsize") <= local_threshold) & (F.col("gsize") >= 2)
             )
-            local_parts.append(small.select("rep", "path", "sid"))
+            local_parts.append(expand(small.select("rep", "path", "sid")))
             big = tagged.filter(F.col("gsize") > local_threshold)
             if largest is None or largest <= local_threshold:
                 break
             if level >= max_dist_levels:
                 # Safety valve: ship oversized buckets to the local kernel.
-                local_parts.append(big.select("rep", "path", "sid"))
+                local_parts.append(expand(big.select("rep", "path", "sid")))
                 break
 
+            # Each record's summed embedded similarity to its bucket, and
+            # ``t`` (its ``mh`` length, as in the local kernel).  Read by the
+            # next level's action and by the final plan, so it is a
+            # checkpoint too.
             sims = (
                 big.join(embedding, "sid")
                 .select("rep", "path", "sid", "gsize",
                         F.posexplode("mh").alias("i", "v"))
                 .withColumn("cnt", F.count("*").over(by_value))
                 .groupBy("rep", "path", "sid", "gsize")
-                .agg(F.sum(F.col("cnt") - 1).alias("simsum"))
+                .agg(F.sum(F.col("cnt") - 1).alias("simsum"), F.count("*").alias("t"))
+                .localCheckpoint(eager=False)
             )
-            hot = F.col("simsum") / (t * (F.col("gsize") - 1)) > (1.0 - eps) * lam
+            checkpoints.append(sims)
+            hot = (
+                F.col("simsum") / (F.col("t") * (F.col("gsize") - 1))
+                > (1.0 - eps) * lam
+            )
             removed = sims.filter(hot).select("rep", "path", "sid")
             bfp = (
                 removed.withColumnRenamed("sid", "sid_x")
@@ -221,20 +294,23 @@ def cpsjoin(
                 .select(
                     F.least("sid_x", "sid_y").alias("a"),
                     F.greatest("sid_x", "sid_y").alias("b"),
+                    F.lit(reps if level == 0 else 1).alias("w"),
                 )
             )
             pair_parts.append(bfp)
             survivors = (
-                sims.filter(~hot).select("rep", "path", "sid").join(embedding, "sid")
+                expand(sims.filter(~hot).select("rep", "path", "sid"))
+                .join(embedding, "sid")
             )
 
             sel = (
                 _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1)))
-                < 1.0 / (lam * t)
+                < 1.0 / (lam * F.col("t"))
             )
             active = (
                 survivors.select(
-                    "rep", "path", "sid", F.posexplode("mh").alias("i", "v")
+                    "rep", "path", "sid", F.size("mh").alias("t"),
+                    F.posexplode("mh").alias("i", "v"),
                 )
                 .filter(sel)
                 .select("rep", F.xxhash64("path", "i", "v").alias("path"), "sid")
@@ -256,19 +332,18 @@ def cpsjoin(
             )
             return _with_counters(sids[pairs[:, 0]], sids[pairs[:, 1]], st)
 
-        out = local_rows.groupBy("rep", "path").applyInPandas(
-            run_bucket, schema=_OUT_SCHEMA
-        )
+        out = _map_buckets(local_rows, ["rep", "path"], run_bucket, _OUT_SCHEMA)
 
         # --- distributed BRUTEFORCEPOINT pairs: shared verification path ---
         if pair_parts:
-            # Verify each pair once; carry its duplicate count so the
+            # Verify each pair once; carry how often the candidate generator
+            # produced it (a root pair once per repetition) so the
             # pre-candidate/candidate counters keep Table IV's raw
             # (duplicate-inclusive) semantics.
             bfp_all = (
                 reduce(DataFrame.unionByName, pair_parts)
                 .groupBy("a", "b")
-                .agg(F.count("*").alias("mult"))
+                .agg(F.sum("w").alias("mult"))
             )
             out = out.unionByName(_verify_pairs_df(bfp_all, pre, lam, delta))
 

@@ -2,7 +2,7 @@
 
 This numpy kernel runs one repetition of the Chosen-Path recursion on a
 bucket of records.  The distributed driver (``core/cpsjoin.py``) calls
-it inside ``applyInPandas`` once a bucket fits in one task; standalone
+it through its bucket runner once a bucket fits in one task; standalone
 it *is* the paper's single-machine algorithm, which the unit tests
 exercise directly.
 

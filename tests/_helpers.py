@@ -1,5 +1,6 @@
 """Helpers shared by the Spark join tests."""
 import hashlib
+from contextlib import contextmanager
 
 import duckdb
 
@@ -52,3 +53,18 @@ def run_counted(spark, group: str, fn):
         for info in map(tracker.getStageInfo, stages) if info is not None
     )
     return out, len(jobs), tasks
+
+
+@contextmanager
+def arrow_batch_rows(spark, n: int):
+    """Cap Arrow batches at ``n`` rows inside the block, then restore the setting."""
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key, None)
+    spark.conf.set(key, str(n))
+    try:
+        yield
+    finally:
+        if old is None:
+            spark.conf.unset(key)
+        else:
+            spark.conf.set(key, old)

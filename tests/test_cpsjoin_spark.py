@@ -12,16 +12,44 @@ from repro.exact import brute_force_join, exact_join_sql, precision, recall
 from repro.oracle import assert_equivalent
 from repro.setsynth import collection_to_pandas, collection_to_spark
 
-from ._helpers import pair_set, pair_sha256, run_counted
+from ._helpers import arrow_batch_rows, pair_set, pair_sha256, run_counted
 
 # SHA-256 of the sorted pair set of the pinned DBLP join below; a change
 # to the driver's Spark plan must not move it.
 PINNED_SHA256 = "1ef2771785deee82c1e2b1e4fe0b5034566fba095e668b3085e0f082fd958596"
 
+# The root-cluster join below: pair-set SHA-256, counters, ``n_results``.
+# Recorded while every repetition still ran the root's BRUTEFORCE step
+# itself, so it pins the once-per-repetition weight of the root's
+# BRUTEFORCEPOINT pairs.
+ROOT_PINNED = (
+    "ba716b2c68b154fcd7c304d7703d9587bfb959463563221c34f42608c620e1c4",
+    (13779, 9536, 1904), 1776,
+)
+
 # Tasks of the 58-set join in the task-budget test: 370 when each pandas
 # stage's output was cached (64 tasks per cached stage and per scan of
 # it), 158 since.
 TASK_BUDGET = 200
+
+
+def root_cluster_sets():
+    """A 60-set near-duplicate cluster and 20 Zipf sets with planted pairs.
+
+    Members share 21-23 of the base's 24 tokens, so most of them pass the
+    BRUTEFORCE cut of the 86-set root bucket and BRUTEFORCEPOINT removes
+    them there.
+    """
+    rng = np.random.default_rng(7)
+    d = 2000
+    base = np.sort(rng.choice(d, size=24, replace=False))
+    cluster = [base] + [
+        setsynth.plant_pair(rng, base, d, float(rng.uniform(0.75, 0.95)))
+        for _ in range(59)
+    ]
+    return setsynth.dedup_collection(
+        setsynth.zipf_collection(20, 8, d, seed=7, planted_per_level=1) + cluster
+    )
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +186,52 @@ class TestSameOutput:
         assert res.stats.as_tuple() == (33457, 699, 437)
         assert res.n_results == len(pairs) == 27
 
+    def test_pinned_output_across_arrow_batches(self, spark, dblp):
+        """The pinned join again, with buckets cut across Arrow batches."""
+        _, df = dblp
+        with arrow_batch_rows(spark, 7):
+            res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
+                          local_threshold=40)
+        pairs = pair_set(res)
+        res.pairs.unpersist()
+        assert res.levels == 4
+        assert pair_sha256(pairs) == PINNED_SHA256
+        assert res.stats.as_tuple() == (33457, 699, 437)
+        assert res.n_results == len(pairs) == 27
+
+    def test_pinned_root_bruteforcepoint(self, spark):
+        """The root bucket exceeds ``local_threshold`` and BRUTEFORCEPOINT
+        removes the planted cluster there: its pairs count once per
+        repetition, as when every repetition ran the root itself."""
+        sets = root_cluster_sets()
+        df = collection_to_spark(spark, sets)
+        res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
+                      local_threshold=50)
+        pairs = pair_set(res)
+        res.pairs.unpersist()
+        sha, stats, n_results = ROOT_PINNED
+        assert len(sets) == 86 and res.levels == 1
+        assert pair_sha256(pairs) == sha
+        assert res.stats.as_tuple() == stats
+        assert res.n_results == len(pairs) == n_results
+
+    def test_t_comes_from_the_embedding(self, spark, dblp):
+        """A ``pre`` of 64 coordinates with ``t`` left at its default joins
+        as with ``t=64``: the BRUTEFORCE cut and the split rate read ``t``
+        off the embedding, as the local kernel does."""
+        _, df = dblp
+        pre = preprocess(df, t=64, ell=8, seed=6).cache()
+        pre.count()
+        out = []
+        for kw in ({}, {"t": 64}):
+            res = cpsjoin(spark, df, 0.5, reps=3, seed=6, local_threshold=40,
+                          pre=pre, **kw)
+            out.append((res.levels, pair_set(res), res.stats.as_tuple(), res.n_results))
+            res.pairs.unpersist()
+        pre.unpersist()
+        assert out[0][0] >= 1
+        assert out[0] == out[1]
+
     def test_driver_equals_kernel_when_input_fits_one_task(self, spark, dblp):
         """With ``local_threshold >= n`` every repetition's root bucket goes
         whole to the local kernel, so the driver must equal
@@ -209,6 +283,23 @@ class TestSparkResources:
             assert res.levels >= 1
             res.pairs.unpersist()
             assert len(jsc.getPersistentRDDs()) == before
+
+    def test_jobs_per_level(self, spark, dblp):
+        """The pinned 4-level join runs at most ``13 + 15 * levels`` Spark
+        jobs and under 200 tasks (recorded at 4 cores: 81 jobs and 287
+        tasks when each repetition ran the root level, the BRUTEFORCE
+        similarities were evaluated twice per level and each bucket had its
+        own Python call; 68 and 145 since)."""
+        _, df = dblp
+        res, jobs, tasks = run_counted(
+            spark, "cpsjoin-jobs-per-level",
+            lambda: cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
+                            local_threshold=40),
+        )
+        res.pairs.unpersist()
+        assert res.levels == 4
+        assert jobs <= 13 + 15 * res.levels
+        assert tasks < TASK_BUDGET
 
     def test_task_budget_without_distributed_levels(self, spark):
         """A join with no distributed level must not run a task per

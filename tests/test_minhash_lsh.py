@@ -12,7 +12,7 @@ from repro.core.preprocess import preprocess
 from repro.exact import brute_force_join, precision, recall
 from repro.setsynth import collection_to_spark
 
-from ._helpers import pair_set, pair_sha256
+from ._helpers import arrow_batch_rows, pair_set, pair_sha256
 
 # Output of the DBLP x0.15 join at lam = 0.5 over
 # ``preprocess(t=12, ell=8, seed=5)`` with ``seed=3``, keyed by ``(k, reps)``:
@@ -151,6 +151,20 @@ class TestSameOutput:
         """Pair set, counters and ``n_results`` at a fixed seed."""
         _, df, pre = dblp15
         res = minhash_lsh_join(spark, df, 0.5, k=k, reps=reps, seed=3, pre=pre)
+        pairs = pair_set(res)
+        res.pairs.unpersist()
+        sha, stats, n_results = PINNED[k, reps]
+        assert pair_sha256(pairs) == sha
+        assert res.stats.as_tuple() == stats
+        assert res.n_results == len(pairs) == n_results
+
+
+    @pytest.mark.parametrize("k,reps", sorted(PINNED))
+    def test_pinned_output_across_arrow_batches(self, spark, dblp15, k, reps):
+        """The pinned joins again, with buckets cut across Arrow batches."""
+        _, df, pre = dblp15
+        with arrow_batch_rows(spark, 7):
+            res = minhash_lsh_join(spark, df, 0.5, k=k, reps=reps, seed=3, pre=pre)
         pairs = pair_set(res)
         res.pairs.unpersist()
         sha, stats, n_results = PINNED[k, reps]
