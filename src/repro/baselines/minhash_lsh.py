@@ -8,7 +8,8 @@ buckets per Python call) and its dedup-and-counter tail.  ``k`` is chosen
 per dataset/threshold by estimating, from the bucket-size histogram of
 a probe repetition, the combined cost of hashing and in-bucket
 comparisons (the Cohen et al. idea the paper implements); the number of
-repetitions for target recall ``phi`` is ``ln(1/(1-phi)) / lam^k``.
+repetitions for the paper's recall target ``PHI`` is
+``ln(1/(1-PHI)) / lam^k``.
 
 Result pairs carry ``first_rep`` — the smallest repetition index that
 discovered the pair — so harnesses can compute the repetitions (and the
@@ -29,7 +30,16 @@ from ..core.cpsjoin import _OUT_SCHEMA, _collect_pairs, _map_buckets, _with_coun
 from ..core.cpsjoin_local import JoinStats, brute_force_pairs_arrays
 from ..core.preprocess import preprocess
 
-__all__ = ["MinHashLSHResult", "minhash_lsh_join", "choose_k", "reps_for_recall"]
+__all__ = ["PHI", "MinHashLSHResult", "minhash_lsh_join", "choose_k", "reps_for_recall"]
+
+#: Recall target of MINHASH's repetition count (the paper's 90%).
+PHI = 0.9
+
+# ``choose_k``'s candidate ``k`` and its cost model: one hash costs five
+# in-bucket comparisons.
+_KS = range(2, 11)
+_CMP_COST = 1.0
+_HASH_COST = 5.0
 
 # Pairs and counter rows, each tagged with the repetition that produced it.
 _REP_SCHEMA = T.StructType(
@@ -48,22 +58,12 @@ class MinHashLSHResult:
     reps: int
 
 
-def reps_for_recall(lam: float, k: int, phi: float = 0.9, cap: int = 64) -> int:
+def reps_for_recall(lam: float, k: int, phi: float = PHI, cap: int = 64) -> int:
     """``L = ceil(ln(1/(1-phi)) / lam^k)``, capped for tractability."""
     return max(1, min(cap, math.ceil(math.log(1.0 / (1.0 - phi)) / lam**k)))
 
 
-def choose_k(
-    spark: SparkSession,
-    pre: DataFrame,
-    lam: float,
-    *,
-    phi: float = 0.9,
-    ks=range(2, 11),
-    seed: int = 0,
-    cmp_cost: float = 1.0,
-    hash_cost: float = 5.0,
-) -> int:
+def choose_k(spark: SparkSession, pre: DataFrame, lam: float, *, seed: int = 0) -> int:
     """Pick ``k`` minimizing estimated total cost over all repetitions.
 
     For each candidate ``k`` the first splitting step is actually run
@@ -72,7 +72,7 @@ def choose_k(
     """
     n = pre.count()
     best_k, best_cost = None, float("inf")
-    for k in ks:
+    for k in _KS:
         buckets = (
             pre.select(
                 F.xxhash64(F.lit(seed), F.lit(k), F.slice("mh", 1, k)).alias("bkt")
@@ -83,8 +83,8 @@ def choose_k(
             .first()
         )
         pair_mass = float(buckets["pairs"] or 0.0)
-        L = reps_for_recall(lam, k, phi)
-        cost = L * (hash_cost * n + cmp_cost * pair_mass)
+        L = reps_for_recall(lam, k)
+        cost = L * (_HASH_COST * n + _CMP_COST * pair_mass)
         if cost < best_cost:
             best_k, best_cost = k, cost
     return int(best_k)
@@ -97,7 +97,6 @@ def minhash_lsh_join(
     *,
     k: int | None = None,
     reps: int | None = None,
-    phi: float = 0.9,
     ell: int = 8,
     delta: float = 0.05,
     seed: int = 0,
@@ -107,23 +106,27 @@ def minhash_lsh_join(
 
     ``pre`` may supply a cached ``preprocess`` output whose ``t`` is at
     least ``k * reps`` MinHash coordinates (each repetition uses its own
-    disjoint slice).  An embedding the call makes itself is released
-    before it returns, so a call leaves only ``res.pairs`` persisted.
+    disjoint slice); a shorter one raises ``ValueError``.  An embedding
+    the call makes itself is released before it returns, so a call leaves
+    only ``res.pairs`` persisted.
     """
     own_pre = pre is None
-    chosen = k is None
-    if chosen:
+    if k is None:
         # Probe embedding for k selection; final embedding sized to fit.
         probe = preprocess(sets_df, t=12, ell=ell, seed=seed).cache() if own_pre else pre
-        k = choose_k(spark, probe, lam, phi=phi, seed=seed)
+        k = choose_k(spark, probe, lam, seed=seed)
         if own_pre:
             probe.unpersist()
     if reps is None:
-        reps = reps_for_recall(lam, k, phi)
-    if chosen and not own_pre:
-        own_pre = len(pre.select("mh").first()["mh"]) < k * reps
+        reps = reps_for_recall(lam, k)
     if own_pre:
         pre = preprocess(sets_df, t=k * reps, ell=ell, seed=seed + 1).cache()
+    else:
+        # Past its end a repetition would hash an empty slice and put every
+        # set in one bucket.
+        first = pre.select(F.size("mh")).first()
+        if first is not None and first[0] < k * reps:
+            raise ValueError(f"pre has t={first[0]} < k * reps = {k * reps}")
 
     reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
     bucketed = (

@@ -70,6 +70,10 @@ _OUT_SCHEMA = T.StructType(
 
 _HASH_MOD = 1 << 31
 
+# Distributed levels before the safety valve ships every bucket still over
+# ``local_threshold`` whole to the local kernel.
+_MAX_DIST_LEVELS = 8
+
 
 def _unit(col):
     """Map a 64-bit hash column to a uniform-ish value in [0, 1)."""
@@ -199,7 +203,6 @@ def cpsjoin(
     reps: int = 10,
     seed: int = 0,
     local_threshold: int = 4000,
-    max_dist_levels: int = 8,
     pre: DataFrame | None = None,
 ) -> CPSJoinResult:
     """Run CPSJoin on ``sets_df`` (``sid``, ``tokens``); eager.
@@ -262,7 +265,7 @@ def cpsjoin(
             big = tagged.filter(F.col("gsize") > local_threshold)
             if largest is None or largest <= local_threshold:
                 break
-            if level >= max_dist_levels:
+            if level >= _MAX_DIST_LEVELS:
                 # Safety valve: ship oversized buckets to the local kernel.
                 local_parts.append(expand(big.select("rep", "path", "sid")))
                 break

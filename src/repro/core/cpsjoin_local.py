@@ -54,13 +54,17 @@ class JoinStats:
         return (self.pre_candidates, self.candidates, self.results)
 
 
+# Tree depth at which a node brute-forces its records whatever their number.
+_MAX_DEPTH = 96
+
+
 class _Ctx:
     """Shared read-only record data + output accumulators for one rep."""
 
     __slots__ = ("mh", "sketches", "tokens", "sizes", "lam", "eps", "delta",
-                 "limit", "max_depth", "rng", "pairs", "stats", "t")
+                 "limit", "rng", "pairs", "stats", "t")
 
-    def __init__(self, mh, sketches, tokens, lam, eps, delta, limit, max_depth, rng):
+    def __init__(self, mh, sketches, tokens, lam, eps, delta, limit, rng):
         self.mh = mh
         self.sketches = sketches
         self.tokens = [np.asarray(x, dtype=np.int64) for x in tokens]
@@ -69,7 +73,6 @@ class _Ctx:
         self.eps = eps
         self.delta = delta
         self.limit = limit
-        self.max_depth = max_depth
         self.rng = rng
         self.pairs: list[np.ndarray] = []  # (m, 2) blocks of a < b pairs
         self.stats = JoinStats()
@@ -115,7 +118,7 @@ def _node(ctx: _Ctx, idx: np.ndarray, depth: int) -> None:
     g = len(idx)
     if g < 2:
         return
-    if g <= ctx.limit or depth >= ctx.max_depth:
+    if g <= ctx.limit or depth >= _MAX_DEPTH:
         _brute_force_pairs(ctx, idx)
         return
     # Average embedded (Braun-Blanquet) similarity of each x to S\{x}:
@@ -162,7 +165,6 @@ def cpsjoin_local_rep(
     eps: float = 0.1,
     delta: float = 0.05,
     seed: int = 0,
-    max_depth: int = 96,
 ) -> tuple[np.ndarray, JoinStats]:
     """One repetition of CPSJoin on an in-memory bucket.
 
@@ -172,7 +174,7 @@ def cpsjoin_local_rep(
     *deduplicated* verified local index pairs (a < b) and ``stats``
     counts raw pipeline traffic (pre-dedup, Table IV semantics).
     """
-    ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit, max_depth,
+    ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit,
                np.random.default_rng(seed))
     _node(ctx, np.arange(len(tokens), dtype=np.int64), 0)
     if ctx.pairs:

@@ -18,7 +18,7 @@ from pyspark.sql import SparkSession
 
 from . import datasets
 from .baselines.allpairs import allpairs
-from .baselines.minhash_lsh import choose_k, minhash_lsh_join, reps_for_recall
+from .baselines.minhash_lsh import PHI, choose_k, minhash_lsh_join, reps_for_recall
 from .core.cpsjoin import cpsjoin
 from .core.preprocess import preprocess
 from .exact import recall as recall_of
@@ -35,6 +35,9 @@ __all__ = [
 
 ALL_DATASETS = tuple(datasets.DATASETS)
 LAMBDAS = (0.5, 0.6, 0.7, 0.8, 0.9)
+
+# Table II's cap on MINHASH repetitions.
+_MH_REP_CAP = 32
 
 #: Table II of the paper: {(dataset, lam): (cp_s, mh_s, all_s)}.
 _T2 = {
@@ -159,8 +162,6 @@ def table2_rows(
     t: int = 128,
     ell: int = 8,
     cp_reps: int = 10,
-    mh_rep_cap: int = 32,
-    phi: float = 0.9,
 ) -> list[dict]:
     """Join-time comparison (Table II): CP vs MH vs ALL at >=90% recall.
 
@@ -188,8 +189,8 @@ def table2_rows(
             )
             cp_recall = recall_of(cp.pairs, truth)
 
-            k = choose_k(spark, pre_cp, lam, phi=phi, seed=seed)
-            mh_reps = reps_for_recall(lam, k, phi, cap=mh_rep_cap)
+            k = choose_k(spark, pre_cp, lam, seed=seed)
+            mh_reps = reps_for_recall(lam, k, cap=_MH_REP_CAP)
             pre_mh = preprocess(
                 sets_df, t=k * mh_reps, ell=ell, seed=seed + 2
             ).cache()
@@ -211,13 +212,13 @@ def table2_rows(
             reps_used, mh_recall = mh_reps, (
                 len(set(found) & truth_pairs) / n_truth if n_truth else 1.0
             )
-            if n_truth and mh_recall >= phi:
+            if n_truth and mh_recall >= PHI:
                 import numpy as np
 
                 hits = sorted(
                     found[p] for p in truth_pairs if p in found
                 )
-                need = int(np.ceil(phi * n_truth))
+                need = int(np.ceil(PHI * n_truth))
                 reps_used = hits[need - 1] + 1 if len(hits) >= need else mh_reps
             mh_time_scaled = mh_time * reps_used / mh_reps
             pre_mh.unpersist()

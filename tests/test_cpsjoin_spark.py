@@ -64,7 +64,8 @@ def dblp(spark):
 class TestCorrectness:
     @pytest.mark.parametrize("name,lam", [
         ("DBLP", 0.5), ("UNIFORM005", 0.5), ("TOKENS10K", 0.5),
-        ("NETFLIX", 0.7),
+        ("NETFLIX", 0.7), ("AOL", 0.5), ("FLICKR", 0.7), ("KOSARAK", 0.5),
+        ("TOKENS20K", 0.5),
     ])
     def test_recall_and_precision(self, spark, name, lam):
         sets = datasets.generate(name, seed=0, scale=0.2)
@@ -86,6 +87,22 @@ class TestCorrectness:
         assert res.levels >= 1
         assert precision(res.pairs, truth) == 1.0
         assert recall(res.pairs, truth) >= 0.9
+
+    def test_max_dist_levels_valve(self, spark, dblp, monkeypatch):
+        """With the valve at one level, every bucket still over
+        ``local_threshold`` after the root goes whole to the local kernel
+        (4 levels and (33457, 699, 437) without it)."""
+        monkeypatch.setattr("repro.core.cpsjoin._MAX_DIST_LEVELS", 1)
+        sets, df = dblp
+        truth = brute_force_join(sets, 0.5)
+        res = cpsjoin(
+            spark, df, 0.5, t=64, ell=8, reps=10, seed=2, local_threshold=40
+        )
+        assert res.levels == 1
+        assert res.stats.as_tuple() == (57655, 721, 359)
+        assert precision(res.pairs, truth) == 1.0
+        assert recall(res.pairs, truth) >= 0.9
+        res.pairs.unpersist()
 
     def test_no_similar_pairs_yields_empty(self, spark):
         sets = datasets.generate("SPOTIFY", seed=0, scale=0.15)

@@ -107,6 +107,13 @@ class TestJoin:
         k4 = minhash_lsh_join(spark, df, 0.5, k=4, reps=3, ell=8, seed=2)
         assert k1.stats.pre_candidates > k4.stats.pre_candidates
 
+    def test_short_embedding_raises(self, spark, dblp15):
+        """A supplied ``pre`` needs ``k * reps`` coordinates: past its 12,
+        repetitions would hash an empty slice and brute-force all sets."""
+        _, df, pre = dblp15
+        with pytest.raises(ValueError, match="t=12"):
+            minhash_lsh_join(spark, df, 0.5, k=3, reps=8, seed=3, pre=pre)
+
     def test_first_rep_tracking(self, spark, dblp):
         _, df = dblp
         res = minhash_lsh_join(spark, df, 0.5, k=3, reps=6, ell=8, seed=2)
