@@ -52,8 +52,12 @@ class AllPairsResult:
 
 
 def _ranked_sets(sets_df: DataFrame) -> DataFrame:
-    """Rewrite each set's tokens as sorted frequency-order keys."""
-    tok = sets_df.select("sid", F.explode("tokens").alias("token"))
+    """Rewrite each set's tokens as sorted frequency-order keys, each once.
+
+    A repeated token would count twice in its frequency and in the set's
+    size, so tokens are deduplicated before anything reads them.
+    """
+    tok = sets_df.select("sid", F.explode(F.array_distinct("tokens")).alias("token"))
     freq = F.count("*").over(Window.partitionBy("token"))
     return (
         tok.select("sid", (freq * (1 << 32) + F.col("token")).alias("rank"))

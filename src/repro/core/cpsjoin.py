@@ -1,8 +1,9 @@
 """Distributed CPSJoin — the paper's contribution as a Spark dataflow.
 
 Level-by-level Chosen-Path recursion over a DataFrame of
-``(rep, path, sid)`` rows (all repetitions run in one dataflow; the
-root path of repetition ``r`` is ``xxhash64(r, seed)``):
+``(rep, path, sid, tokens, size, mh, sketch)`` rows: each row carries its
+record, read once from the embedding ``pre`` (all repetitions run in one
+dataflow; the root path of repetition ``r`` is ``xxhash64(r, seed)``):
 
 1. bucket sizes as a window count over ``(rep, path)``; the level's one
    action reads the largest;
@@ -11,9 +12,9 @@ root path of repetition ``r`` is ``xxhash64(r, seed)``):
    exact in-memory recursion of Algorithms 1+2 (``core.cpsjoin_local``);
 3. larger buckets get the distributed BRUTEFORCE step: per-bucket
    MinHash-coordinate value counts give every record's average embedded
-   similarity to its bucket; records above ``(1 - eps) * lam`` become
-   BRUTEFORCEPOINT candidate pairs against their whole bucket and leave
-   the recursion;
+   similarity to its bucket; records above ``(1 - eps) * lam`` are
+   flagged ``hot``, become BRUTEFORCEPOINT candidate pairs against their
+   whole bucket and leave the recursion;
 4. survivors split: coordinate ``i`` is chosen for a path iff
    ``hash(path, i) < 1/(lam * t)`` (expected ``1/lam`` coordinates per
    node, the §V-A3 heuristic) and the child bucket id is
@@ -22,11 +23,17 @@ root path of repetition ``r`` is ``xxhash64(r, seed)``):
    ``J(x, y)`` per sampled coordinate.  ``t`` is the embedding's length.
 
 Every repetition's root bucket holds the whole input, so the root level
-runs once: its BRUTEFORCEPOINT pairs carry the weight ``reps``, and its
-survivors and local rows are copied to every repetition's root path
-before they split or go to the kernel.  Each level's bucket sizes and
-BRUTEFORCE similarities are lazy local checkpoints, computed once and
-released before ``cpsjoin`` returns.
+runs once, on ``pre`` itself: its size is ``pre``'s row count (the level's
+action), and its survivors and local rows are copied to every
+repetition's root path before they split or go to the kernel.  Its
+BRUTEFORCEPOINT pairs are a cross join of the hot records with all
+records, each pair emitted once with both records and with ``mult``
+``reps`` per finding (twice when both records are hot).  They skip the
+dedup: a removed record leaves the recursion, so no other bucket finds
+them.  Pairs found below the root are deduplicated, counted, and only
+then joined with their records from ``pre``.  Each level's bucket rows
+(with their sizes, then with their ``hot`` flags) are lazy local
+checkpoints, computed once and released before ``cpsjoin`` returns.
 
 Candidate pairs from both routes run the shared pipeline: size check,
 1-bit sketch check (false-negative rate ``delta``), exact Jaccard
@@ -60,6 +67,9 @@ from .preprocess import preprocess
 __all__ = ["CPSJoinResult", "cpsjoin", "bucket_seed"]
 
 _COUNTERS = ("pre_candidates", "candidates", "results")
+
+# The ``preprocess`` columns each level row carries.
+_RECORD = ("sid", "tokens", "size", "mh", "sketch")
 
 # Verified pairs (a < b) and counter rows (a = b = -1); pair rows carry
 # zero counters.
@@ -215,6 +225,10 @@ def cpsjoin(
     """
     if not 0 < lam < 1:
         raise ValueError(f"lam must be in (0,1), got {lam}")
+    if local_threshold < 1:
+        # A singleton bucket would count as big, and the BRUTEFORCE cut
+        # would divide by its size minus one.
+        raise ValueError(f"local_threshold must be >= 1, got {local_threshold}")
     own_pre = pre is None
     if own_pre:
         pre = preprocess(sets_df, t=t, ell=ell, seed=seed).cache()
@@ -232,21 +246,83 @@ def cpsjoin(
             )
 
         # Every repetition's root bucket holds every record, so the root
-        # level runs once, as the one bucket (rep, path) = (-1, 0); its
-        # BRUTEFORCEPOINT pairs count once per repetition (weight ``w``).
-        active = pre.select(
-            F.lit(-1).alias("rep"), F.lit(0).cast("long").alias("path"), "sid"
+        # level runs once, on ``pre`` as the one bucket (rep, path) = (-1, 0).
+        # Each row carries its record from here on.
+        largest = pre.count()
+        tagged = pre.select(
+            F.lit(-1).alias("rep"), F.lit(0).cast("long").alias("path"), *_RECORD,
+            F.lit(largest).alias("gsize"),
         )
 
         # Bucket sizes and coordinate-value counts are window counts: one
         # shuffle each, where an aggregate joined back needs two.
         by_bucket = Window.partitionBy("rep", "path")
         by_value = Window.partitionBy("rep", "path", "i", "v")
-        embedding = pre.select("sid", "mh")
         local_parts: list[DataFrame] = []
-        pair_parts: list[DataFrame] = []  # distributed BRUTEFORCEPOINT pairs
+        to_verify: list[DataFrame] = []  # BRUTEFORCEPOINT pairs with both records
+        below_parts: list[DataFrame] = []  # (a, b) found below the root
         level = 0
         while True:
+            expand = per_rep if level == 0 else (lambda rows: rows)
+            small = tagged.filter(
+                (F.col("gsize") <= local_threshold) & (F.col("gsize") >= 2)
+            )
+            local_parts.append(expand(small.drop("gsize")))
+            big = tagged.filter(F.col("gsize") > local_threshold)
+            if largest is None or largest <= local_threshold:
+                break
+            if level >= _MAX_DIST_LEVELS:
+                # Safety valve: ship oversized buckets to the local kernel.
+                local_parts.append(expand(big.drop("gsize")))
+                break
+
+            # Each record's summed embedded similarity to its bucket, and
+            # ``t`` (its ``mh`` length, as in the local kernel), make the
+            # BRUTEFORCE cut.  The bucket rows with their ``hot`` flag are
+            # read by the next level's action (the survivors) and by the
+            # final plan (BRUTEFORCEPOINT), so they are a checkpoint.
+            sims = (
+                big.select("rep", "path", "sid", "gsize",
+                           F.posexplode("mh").alias("i", "v"))
+                .withColumn("cnt", F.count("*").over(by_value))
+                .groupBy("rep", "path", "sid", "gsize")
+                .agg(F.sum(F.col("cnt") - 1).alias("simsum"), F.count("*").alias("t"))
+            )
+            hot = (
+                F.col("simsum") / (F.col("t") * (F.col("gsize") - 1))
+                > (1.0 - eps) * lam
+            )
+            flagged = (
+                big.drop("gsize")
+                .join(sims.select("rep", "path", "sid", hot.alias("hot")),
+                      ["rep", "path", "sid"])
+                .localCheckpoint(eager=False)
+            )
+            checkpoints.append(flagged)
+            if level == 0:
+                to_verify.append(_root_pairs(flagged, reps))
+            else:
+                below_parts.append(
+                    flagged.filter("hot").select("rep", "path", F.col("sid").alias("x"))
+                    .join(flagged.select("rep", "path", F.col("sid").alias("y")),
+                          ["rep", "path"])
+                    .filter(F.col("x") != F.col("y"))
+                    .select(F.least("x", "y").alias("a"), F.greatest("x", "y").alias("b"))
+                )
+            survivors = expand(flagged.filter(~F.col("hot")).drop("hot"))
+
+            sel = (
+                _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1)))
+                < 1.0 / (lam * F.col("t"))
+            )
+            active = (
+                survivors.select(
+                    "rep", "path", *_RECORD, F.size("mh").alias("t"),
+                    F.posexplode("mh").alias("i", "v"),
+                )
+                .filter(sel)
+                .select("rep", F.xxhash64("path", "i", "v").alias("path"), *_RECORD)
+            )
             # A local checkpoint keeps later levels from recomputing this one
             # and keeps the partitioning AQE chose.  The level's one action
             # materialises it and sizes the largest bucket: a top-1, which
@@ -257,72 +333,9 @@ def cpsjoin(
             checkpoints.append(tagged)
             top = tagged.select("gsize").orderBy(F.desc("gsize")).first()
             largest = top[0] if top else None
-            expand = per_rep if level == 0 else (lambda rows: rows)
-            small = tagged.filter(
-                (F.col("gsize") <= local_threshold) & (F.col("gsize") >= 2)
-            )
-            local_parts.append(expand(small.select("rep", "path", "sid")))
-            big = tagged.filter(F.col("gsize") > local_threshold)
-            if largest is None or largest <= local_threshold:
-                break
-            if level >= _MAX_DIST_LEVELS:
-                # Safety valve: ship oversized buckets to the local kernel.
-                local_parts.append(expand(big.select("rep", "path", "sid")))
-                break
-
-            # Each record's summed embedded similarity to its bucket, and
-            # ``t`` (its ``mh`` length, as in the local kernel).  Read by the
-            # next level's action and by the final plan, so it is a
-            # checkpoint too.
-            sims = (
-                big.join(embedding, "sid")
-                .select("rep", "path", "sid", "gsize",
-                        F.posexplode("mh").alias("i", "v"))
-                .withColumn("cnt", F.count("*").over(by_value))
-                .groupBy("rep", "path", "sid", "gsize")
-                .agg(F.sum(F.col("cnt") - 1).alias("simsum"), F.count("*").alias("t"))
-                .localCheckpoint(eager=False)
-            )
-            checkpoints.append(sims)
-            hot = (
-                F.col("simsum") / (F.col("t") * (F.col("gsize") - 1))
-                > (1.0 - eps) * lam
-            )
-            removed = sims.filter(hot).select("rep", "path", "sid")
-            bfp = (
-                removed.withColumnRenamed("sid", "sid_x")
-                .join(big.select("rep", "path", F.col("sid").alias("sid_y")),
-                      ["rep", "path"])
-                .filter(F.col("sid_x") != F.col("sid_y"))
-                .select(
-                    F.least("sid_x", "sid_y").alias("a"),
-                    F.greatest("sid_x", "sid_y").alias("b"),
-                    F.lit(reps if level == 0 else 1).alias("w"),
-                )
-            )
-            pair_parts.append(bfp)
-            survivors = (
-                expand(sims.filter(~hot).select("rep", "path", "sid"))
-                .join(embedding, "sid")
-            )
-
-            sel = (
-                _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1)))
-                < 1.0 / (lam * F.col("t"))
-            )
-            active = (
-                survivors.select(
-                    "rep", "path", "sid", F.size("mh").alias("t"),
-                    F.posexplode("mh").alias("i", "v"),
-                )
-                .filter(sel)
-                .select("rep", F.xxhash64("path", "i", "v").alias("path"), "sid")
-            )
             level += 1
 
         # --- local buckets: run the full in-memory recursion per bucket ---
-        local_rows = reduce(DataFrame.unionByName, local_parts).join(pre, "sid")
-
         def run_bucket(key, pdf):
             rep, path = int(key[0]), int(key[1])
             mh = np.stack(pdf["mh"].to_numpy()).astype(np.int64)
@@ -335,20 +348,26 @@ def cpsjoin(
             )
             return _with_counters(sids[pairs[:, 0]], sids[pairs[:, 1]], st)
 
-        out = _map_buckets(local_rows, ["rep", "path"], run_bucket, _OUT_SCHEMA)
+        out = _map_buckets(reduce(DataFrame.unionByName, local_parts),
+                           ["rep", "path"], run_bucket, _OUT_SCHEMA)
 
         # --- distributed BRUTEFORCEPOINT pairs: shared verification path ---
-        if pair_parts:
-            # Verify each pair once; carry how often the candidate generator
-            # produced it (a root pair once per repetition) so the
-            # pre-candidate/candidate counters keep Table IV's raw
-            # (duplicate-inclusive) semantics.
-            bfp_all = (
-                reduce(DataFrame.unionByName, pair_parts)
+        if below_parts:
+            # A pair found in several buckets is verified once; its ``mult``
+            # (how often it was found) keeps the pre-candidate and candidate
+            # counters duplicate-inclusive, as Table IV counts them.
+            below = (
+                reduce(DataFrame.unionByName, below_parts)
                 .groupBy("a", "b")
-                .agg(F.sum("w").alias("mult"))
+                .agg(F.count("*").alias("mult"))
             )
-            out = out.unionByName(_verify_pairs_df(bfp_all, pre, lam, delta))
+            to_verify.append(
+                below.join(_side(pre, "a"), "a").join(_side(pre, "b"), "b")
+            )
+        if to_verify:
+            out = out.unionByName(
+                _verify_pairs_df(reduce(DataFrame.unionByName, to_verify), lam, delta)
+            )
 
         pairs_df, stats, n_results = _collect_pairs(out)
         return CPSJoinResult(pairs=pairs_df, stats=stats, n_results=n_results,
@@ -360,34 +379,46 @@ def cpsjoin(
             pre.unpersist()
 
 
-def _verify_pairs_df(
-    pairs: DataFrame, pre: DataFrame, lam: float, delta: float
-) -> DataFrame:
-    """The candidate check (``_check_pairs``) for ``(a, b, mult)`` rows.
-
-    Each distinct pair is verified once; its ``mult`` (how many times
-    the candidate generator produced it) weights the pre-candidate and
-    candidate counters so they keep Table IV's duplicate-inclusive
-    semantics.  Emits the verified pairs and one ``(-1, -1)`` counter row
-    per Arrow batch.
-    """
-    sides = pairs.join(
-        pre.select(
-            F.col("sid").alias("a"),
-            F.col("tokens").alias("tokens_a"),
-            F.col("size").alias("size_a"),
-            F.col("sketch").alias("sketch_a"),
-        ),
-        "a",
-    ).join(
-        pre.select(
-            F.col("sid").alias("b"),
-            F.col("tokens").alias("tokens_b"),
-            F.col("size").alias("size_b"),
-            F.col("sketch").alias("sketch_b"),
-        ),
-        "b",
+def _side(records: DataFrame, side: str, *extra) -> DataFrame:
+    """``records`` as the ``side`` ("a" or "b") of a candidate pair."""
+    return records.select(
+        F.col("sid").alias(side),
+        *(F.col(c).alias(f"{c}_{side}") for c in ("tokens", "size", "sketch")),
+        *extra,
     )
+
+
+def _root_pairs(root: DataFrame, reps: int) -> DataFrame:
+    """The root's BRUTEFORCEPOINT pairs, each once, with both records.
+
+    ``root`` holds every record and its ``hot`` flag.  Each hot record
+    pairs with every other record; a pair of two hot records is found
+    twice.  Every repetition's root would find it again, so ``mult`` is
+    ``reps`` per finding.  A removed record leaves the recursion, so no
+    other bucket finds these pairs and they need no dedup.  The pairs are
+    a cross join, not a join on the root's one bucket key, which would
+    run in one task.
+    """
+    x = _side(root.filter("hot"), "a")
+    y = _side(root, "b", F.col("hot").alias("hot_b"))
+    a, b, hot_b = F.col("a"), F.col("b"), F.col("hot_b")
+    return (
+        x.crossJoin(y)
+        .filter((a != b) & (~hot_b | (a < b)))  # two hot records: one order
+        .withColumn("mult", F.when(hot_b, 2 * reps).otherwise(reps).cast("long"))
+        .drop("hot_b")
+    )
+
+
+def _verify_pairs_df(pairs: DataFrame, lam: float, delta: float) -> DataFrame:
+    """The candidate check (``_check_pairs``) for pairs with their records.
+
+    ``pairs`` rows are ``(a, b, mult)`` plus both records (``_side``).
+    Each row is verified once; its ``mult`` (how many times the candidate
+    generator produced the pair) weights the pre-candidate and candidate
+    counters so they keep Table IV's duplicate-inclusive semantics.  Emits
+    the verified pairs and one ``(-1, -1)`` counter row per Arrow batch.
+    """
 
     def run(batches):
         for pdf in batches:
@@ -408,4 +439,4 @@ def _verify_pairs_df(
                 JoinStats(int(mult.sum()), int(mult[cand].sum()), int(hit.sum())),
             )
 
-    return sides.mapInPandas(run, schema=_OUT_SCHEMA)
+    return pairs.mapInPandas(run, schema=_OUT_SCHEMA)

@@ -5,6 +5,10 @@ values (the Chosen-Path embedding) and an ``ell``-word 1-bit minwise
 sketch.  Runs as ``mapInPandas`` so the numpy kernel in
 ``core.minhash`` does the work per Arrow batch; the hash family is
 reconstructed deterministically from ``seed`` on every executor.
+Input tokens may come unsorted and with duplicates; each set is sorted
+and deduplicated here, before anything reads it, so ``size`` and the
+exact Jaccard (which intersects assuming unique tokens) follow set
+semantics.
 """
 from __future__ import annotations
 
@@ -32,17 +36,19 @@ def preprocess(
 ) -> DataFrame:
     """``(sid, tokens)`` -> ``(sid, tokens, size, mh, sketch)``.
 
-    ``mh`` is the int64 MinHash embedding of length ``t``; ``sketch`` is
-    the 1-bit minwise sketch as ``ell`` int64 words (bit-identical view
-    of the uint64 sketch words).
+    ``tokens`` is the input set sorted and deduplicated, ``size`` its
+    length.  ``mh`` is the int64 MinHash embedding of length ``t``;
+    ``sketch`` is the 1-bit minwise sketch as ``ell`` int64 words
+    (bit-identical view of the uint64 sketch words).
     """
 
     def run(batches):
         hasher = MinHasher(t=t, ell=ell, seed=seed)
         for pdf in batches:
-            tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
+            tokens = [np.unique(np.asarray(x, dtype=np.int64)) for x in pdf["tokens"]]
             mh, sketch = hasher.embed_many(tokens)
-            out = pdf[["sid", "tokens"]].copy()
+            out = pdf[["sid"]].copy()
+            out["tokens"] = [x.astype(np.int32) for x in tokens]
             out["size"] = [len(x) for x in tokens]
             out["mh"] = list(mh)
             out["sketch"] = list(sketch.view(np.int64))

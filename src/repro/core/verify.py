@@ -6,8 +6,8 @@ a *result* iff the exact Jaccard similarity of the original token sets
 is ``>= lam``.  The sketch-based joins (CPSJoin's kernel and its
 distributed pair verification, MinHash LSH) reach it only through
 ``cpsjoin_local._check_pairs``; ALLPAIRS makes the same division in the
-JVM.  Token arrays are kept sorted & deduplicated by the data loaders so
-intersections are linear merges.
+JVM.  ``jaccard`` assumes unique tokens: ``preprocess`` sorts and dedups
+every input set before a sketch-based join reads it.
 """
 from __future__ import annotations
 

@@ -27,10 +27,22 @@ ROOT_PINNED = (
     (13779, 9536, 1904), 1776,
 )
 
+# The join below the root (``below_root_sets``): pair-set SHA-256,
+# counters, ``n_results``.  Recorded while the level rows carried only
+# ``(rep, path, sid)`` and every BRUTEFORCEPOINT pair was joined with the
+# embedding by ``sid``.
+BELOW_ROOT_PINNED = (
+    "2f36a31fece8134d4a434609ff67d6b18ede484f41ddb9f3e1a7187daddf9f5b",
+    (7880, 7038, 492), 440,
+)
+
 # Tasks of the 58-set join in the task-budget test: 370 when each pandas
 # stage's output was cached (64 tasks per cached stage and per scan of
 # it), 158 since.
 TASK_BUDGET = 200
+
+# Jobs of the root-cluster join in the root-BRUTEFORCEPOINT job test.
+ROOT_JOB_BUDGET = 16
 
 
 def root_cluster_sets():
@@ -49,6 +61,25 @@ def root_cluster_sets():
     ]
     return setsynth.dedup_collection(
         setsynth.zipf_collection(20, 8, d, seed=7, planted_per_level=1) + cluster
+    )
+
+
+def below_root_sets():
+    """A 30-set near-duplicate cluster and 120 Zipf sets with planted pairs.
+
+    In the 156-set root bucket the cluster's average similarity stays
+    under the BRUTEFORCE cut; at ``local_threshold=10`` BRUTEFORCEPOINT
+    removes its records in the level-1 buckets instead.
+    """
+    rng = np.random.default_rng(7)
+    d = 2000
+    base = np.sort(rng.choice(d, size=24, replace=False))
+    cluster = [base] + [
+        setsynth.plant_pair(rng, base, d, float(rng.uniform(0.75, 0.95)))
+        for _ in range(29)
+    ]
+    return setsynth.dedup_collection(
+        setsynth.zipf_collection(120, 8, d, seed=7, planted_per_level=1) + cluster
     )
 
 
@@ -163,6 +194,15 @@ class TestStructure:
         with pytest.raises(ValueError):
             cpsjoin(spark, df, 1.5)
 
+    @pytest.mark.parametrize("local_threshold", [0, -3])
+    def test_local_threshold_below_one_raises(self, spark, local_threshold):
+        """A singleton bucket would count as big, and the BRUTEFORCE cut
+        would divide by ``|bucket| - 1 = 0`` in an executor."""
+        df = collection_to_spark(spark, root_cluster_sets())
+        with pytest.raises(ValueError, match="local_threshold"):
+            cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
+                    local_threshold=local_threshold)
+
     def test_shared_preprocessing(self, spark, dblp):
         from repro.core.preprocess import preprocess
 
@@ -228,6 +268,24 @@ class TestSameOutput:
         res.pairs.unpersist()
         sha, stats, n_results = ROOT_PINNED
         assert len(sets) == 86 and res.levels == 1
+        assert pair_sha256(pairs) == sha
+        assert res.stats.as_tuple() == stats
+        assert res.n_results == len(pairs) == n_results
+
+    def test_pinned_bruteforcepoint_below_root(self, spark):
+        """BRUTEFORCEPOINT removes records below the root only (the 30
+        cluster records from 281 level-1 bucket rows, none at levels 0 and
+        2, counted when the pin was recorded).  Their pairs, found in
+        several buckets and repetitions, are verified once each and counted
+        as often as they were found."""
+        sets = below_root_sets()
+        df = collection_to_spark(spark, sets)
+        res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
+                      local_threshold=10)
+        pairs = pair_set(res)
+        res.pairs.unpersist()
+        sha, stats, n_results = BELOW_ROOT_PINNED
+        assert len(sets) == 156 and res.levels == 3
         assert pair_sha256(pairs) == sha
         assert res.stats.as_tuple() == stats
         assert res.n_results == len(pairs) == n_results
@@ -317,6 +375,22 @@ class TestSparkResources:
         assert res.levels == 4
         assert jobs <= 13 + 15 * res.levels
         assert tasks < TASK_BUDGET
+
+    def test_jobs_root_bruteforcepoint(self, spark):
+        """The root-cluster join (one level, BRUTEFORCEPOINT at the root)
+        runs at most ROOT_JOB_BUDGET Spark jobs (recorded at 4 cores: 25
+        when the level rows carried only ``sid`` and were joined with the
+        embedding again for the root's similarities, its survivors, the
+        local rows and both sides of every pair; 14 since)."""
+        df = collection_to_spark(spark, root_cluster_sets())
+        res, jobs, _ = run_counted(
+            spark, "cpsjoin-jobs-root-bruteforcepoint",
+            lambda: cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
+                            local_threshold=50),
+        )
+        res.pairs.unpersist()
+        assert res.levels == 1
+        assert jobs <= ROOT_JOB_BUDGET
 
     def test_task_budget_without_distributed_levels(self, spark):
         """A join with no distributed level must not run a task per
