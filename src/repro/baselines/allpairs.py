@@ -22,13 +22,16 @@ prefix filter "ALL" is the overall winner).  Distributed formulation:
    ``inter / (|a| + |b| - inter) >= lam``, the same IEEE division
    ``verify.jaccard`` makes, so no Python worker runs.
 
-The whole join is one Catalyst plan.  Only its result is cached: an
-intermediate cache would fix its partitioning before AQE could coalesce
-it, and would add an action.  The one action that materialises the
-pairs also returns the counters through an ``Observation``.  Counters
-follow Table IV: pre-candidates are size-feasible index hits (with
-duplicates), candidates are distinct pre-candidates, results are
-verified pairs.
+The ranked sets feed four readers: both sides of the prefix self-join
+and both record attaches of step 4.  Spark reuses none of their
+shuffles, so they are a lazy local checkpoint, computed once by the
+join's one action and released before ``allpairs`` returns, also when it
+raises.  The result is coalesced to the session's task slots and cached
+(``cpsjoin._cache_pairs``, as CPSJoin and MinHash LSH do); the one
+action that materialises it also returns the counters through an
+``Observation``.  Counters follow Table IV: pre-candidates are
+size-feasible index hits (with duplicates), candidates are distinct
+pre-candidates, results are verified pairs.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Observation, SparkSession, Window
 from pyspark.sql import functions as F
 
+from ..core.cpsjoin import _cache_pairs, _release_checkpoint
 from ..core.cpsjoin_local import JoinStats
 
 __all__ = ["AllPairsResult", "allpairs"]
@@ -81,11 +85,14 @@ def _min_overlap(size, lam: float):
     )
 
 
-def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsResult:
-    """Exact self-join ``{(a, b) : J >= lam}`` with prefix filtering; eager."""
-    if not 0 < lam < 1:
-        raise ValueError(f"lam must be in (0,1), got {lam}")
-    ranked = _ranked_sets(sets_df)
+def _verified_pairs(ranked: DataFrame, lam: float, totals: Observation) -> DataFrame:
+    """Steps 2-4 over the ranked sets: the pairs with ``J >= lam``.
+
+    ``totals`` observes the pre-candidate and candidate counts on the
+    candidates with both records attached, one row per candidate: AQE
+    drops an empty join's subtree from the plan, so an observation below
+    the attach would never report when no candidate exists.
+    """
     prefix_len = (F.col("size") - _min_overlap(F.col("size"), lam) + 1).cast("int")
     prefix = ranked.select(
         "sid",
@@ -103,7 +110,6 @@ def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsRes
         F.col("sid").alias("sid_b"),
         F.col("size").alias("size_b"),
     )
-    totals = Observation()
     cand = (
         left.join(right, "rank")
         .filter(F.col("sid_a") < F.col("sid_b"))
@@ -112,11 +118,6 @@ def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsRes
         )
         .groupBy("sid_a", "sid_b")
         .agg(F.count("*").alias("mult"))
-        .observe(
-            totals,
-            F.sum("mult").alias("pre_candidates"),
-            F.count("*").alias("candidates"),
-        )
     )
 
     sides = cand.join(
@@ -125,14 +126,28 @@ def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsRes
     ).join(
         ranked.select(F.col("sid").alias("sid_b"), F.col("rtokens").alias("tb")),
         "sid_b",
+    ).observe(
+        totals,
+        F.sum("mult").alias("pre_candidates"),
+        F.count("*").alias("candidates"),
     )
     inter = F.size(F.array_intersect("ta", "tb"))
-    pairs = (
+    return (
         sides.filter(inter / (F.size("ta") + F.size("tb") - inter) >= lam)
         .select("sid_a", "sid_b")
-        .cache()
     )
-    n_res = pairs.count()
+
+
+def allpairs(spark: SparkSession, sets_df: DataFrame, lam: float) -> AllPairsResult:
+    """Exact self-join ``{(a, b) : J >= lam}`` with prefix filtering; eager."""
+    if not 0 < lam < 1:
+        raise ValueError(f"lam must be in (0,1), got {lam}")
+    ranked = _ranked_sets(sets_df).localCheckpoint(eager=False)
+    totals = Observation()
+    try:
+        pairs, n_res = _cache_pairs(_verified_pairs(ranked, lam, totals))
+    finally:
+        _release_checkpoint(ranked)
     return AllPairsResult(
         pairs=pairs,
         stats=JoinStats(

@@ -121,26 +121,37 @@ def _collect_pairs(out: DataFrame, *aggs) -> tuple[DataFrame, JoinStats, int]:
 
     One ``groupBy(a, b)`` dedups the pairs and folds every counter row
     into ``(-1, -1)``; ``aggs`` are further per-pair aggregates kept as
-    columns.  Only the pairs ``(sid_a, sid_b, *aggs)`` are cached, in at
-    most ``defaultParallelism`` partitions, and the one action that
-    materialises them also returns the counters through an
-    ``Observation``.  Returns ``(pairs, stats, n_results)``.
+    columns.  Only the pairs ``(sid_a, sid_b, *aggs)`` are cached
+    (``_cache_pairs``), and the one action that materialises them also
+    returns the counters through an ``Observation``.  Returns
+    ``(pairs, stats, n_results)``.
     """
     sums = [F.sum(c).alias(c) for c in _COUNTERS]
     totals = Observation()
-    pairs = (
+    pairs, n_results = _cache_pairs(
         out.groupBy("a", "b").agg(*sums, *aggs)
         .observe(totals, *sums)
         .filter(F.col("a") >= 0)
         .drop(*_COUNTERS)
         .withColumnsRenamed({"a": "sid_a", "b": "sid_b"})
-        # AQE cannot coalesce a cached plan: without this the aggregate and
-        # every scan of the cache run one task per shuffle partition.
-        .coalesce(out.sparkSession.sparkContext.defaultParallelism)
-        .cache()
     )
-    n_results = pairs.count()
     return pairs, JoinStats(*(int(totals.get[c] or 0) for c in _COUNTERS)), n_results
+
+
+def _cache_pairs(pairs: DataFrame) -> tuple[DataFrame, int]:
+    """Cache a join's result in at most ``defaultParallelism`` partitions and count it.
+
+    AQE cannot coalesce a cached plan: without the coalesce the last stage
+    and every scan of the cache run one task per shuffle partition.  The
+    count is the one action that materialises the cache; if it raises,
+    nothing stays cached.  Returns ``(pairs, count)``.
+    """
+    pairs = pairs.coalesce(pairs.sparkSession.sparkContext.defaultParallelism).cache()
+    try:
+        return pairs, pairs.count()
+    except BaseException:
+        pairs.unpersist()
+        raise
 
 
 def _map_buckets(df: DataFrame, keys: list[str], fn, schema) -> DataFrame:

@@ -1,6 +1,7 @@
 """ALLPAIRS exactness tests — every result goes through the DuckDB oracle."""
 import numpy as np
 import pytest
+from pyspark.errors import PySparkException
 from pyspark.sql import functions as F
 
 from repro import datasets
@@ -16,11 +17,13 @@ from ._helpers import pair_set, pair_sha256, run_counted
 PINNED_SHA256 = "9ba6ef461e70371ff0d67628f6f55999908e3e38b0932362e361d24097202d5a"
 PINNED_STATS = (104527, 9999, 24)
 
-# Tasks and jobs of one DBLP x0.15 call: 846 and 21 with a single-partition
-# Window, cached intermediates and a pandas verifier; 154 and 16 as one
-# Catalyst plan.
-TASK_BUDGET = 300
-JOB_BUDGET = 20
+# Jobs and tasks of one DBLP x0.15 call at 4 task slots: 21 and 846 with a
+# single-partition Window, cached intermediates and a pandas verifier; 16
+# and 154 as one Catalyst plan that ranked the sets four times and cached
+# its result in 64 partitions; 10 and 19 with the ranked sets checkpointed
+# once and the result coalesced to the task slots.
+TASKS_PER_SLOT = 8
+JOB_BUDGET = 12
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +95,16 @@ class TestSameOutput:
 
 class TestSparkResources:
     def test_task_budget(self, spark, dblp):
-        """One call is one Catalyst plan: AQE sizes every stage, and no
-        stage runs a task per shuffle partition for a cached intermediate."""
+        """The sets are ranked once, AQE sizes every stage, and no stage
+        runs a task per shuffle partition for a cached intermediate or for
+        the cached result."""
         _, df = dblp
         ap, jobs, tasks = run_counted(
             spark, "allpairs-task-budget", lambda: allpairs(spark, df, 0.5)
         )
         ap.pairs.unpersist()
         assert ap.n_results > 0
-        assert tasks < TASK_BUDGET
+        assert tasks <= TASKS_PER_SLOT * spark.sparkContext.defaultParallelism
         assert jobs <= JOB_BUDGET
 
     def test_no_persisted_rdd_outlives_the_call(self, spark, dblp):
@@ -113,6 +117,46 @@ class TestSparkResources:
             ap = allpairs(spark, df, lam)
             ap.pairs.unpersist()
             assert len(jsc.getPersistentRDDs()) == before
+
+    @pytest.mark.parametrize("case", ["empty", "single", "dblp-0.99"])
+    def test_call_finding_no_pair(self, spark, dblp, case):
+        """A call whose candidates all fail, or that has none, returns
+        zero results with consistent counters and frees what it built."""
+        _, df = dblp
+        lam = 0.99 if case == "dblp-0.99" else 0.5
+        if case != "dblp-0.99":
+            df = collection_to_spark(spark, [] if case == "empty" else [np.arange(5)])
+        jsc = spark.sparkContext._jsc
+        before = len(jsc.getPersistentRDDs())
+        ap = allpairs(spark, df, lam)
+        assert ap.n_results == ap.stats.results == ap.pairs.count() == 0
+        assert ap.stats.pre_candidates >= ap.stats.candidates >= 0
+        if case == "dblp-0.99":
+            assert ap.stats.candidates > 0, "the verifier must reject candidates"
+        else:
+            assert ap.stats.as_tuple() == (0, 0, 0)
+        ap.pairs.unpersist()
+        assert len(jsc.getPersistentRDDs()) == before
+
+    def test_raising_call_leaves_nothing_persisted(self, spark):
+        """A call that fails in its one action leaves nothing behind: no
+        persisted RDD, and no cached result over its input, which
+        unpersisting the input would re-plan and fail on again."""
+        jsc = spark.sparkContext._jsc
+        before = len(jsc.getPersistentRDDs())
+        df = collection_to_spark(
+            spark, datasets.generate("DBLP", seed=1, scale=0.05)
+        ).cache()
+        df.count()
+        bad = df.withColumn(
+            "tokens",
+            F.when(F.col("sid") == 3, F.raise_error(F.lit("bad set")))
+            .otherwise(F.col("tokens")),
+        )
+        with pytest.raises(PySparkException, match="bad set"):
+            allpairs(spark, bad, 0.5)
+        df.unpersist()
+        assert len(jsc.getPersistentRDDs()) == before
 
 
 class TestStats:
