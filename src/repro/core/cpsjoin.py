@@ -7,9 +7,11 @@ dataflow; the root path of repetition ``r`` is ``xxhash64(r, seed)``):
 
 1. bucket sizes as a window count over ``(rep, path)``; the level's one
    action reads the largest;
-2. buckets that fit in one task (``<= local_threshold`` records) go to
-   ``_map_buckets`` (many buckets per Python call) and are finished by the
-   exact in-memory recursion of Algorithms 1+2 (``core.cpsjoin_local``);
+2. buckets that fit in one task (at most ``max(limit, local_threshold)``
+   records) go to ``_map_buckets`` (many buckets per Python call) and are
+   finished by the exact in-memory recursion of Algorithms 1+2
+   (``core.cpsjoin_local``), which resumes the tree at the bucket's path
+   and depth;
 3. larger buckets get the distributed BRUTEFORCE step: per-bucket
    MinHash-coordinate value counts give every record's average embedded
    similarity to its bucket; records above ``(1 - eps) * lam`` are
@@ -21,6 +23,13 @@ dataflow; the root path of repetition ``r`` is ``xxhash64(r, seed)``):
    ``xxhash64(path, i, mh_i(x))`` — sets sharing the sampled MinHash
    value meet again one level down, which happens with probability
    ``J(x, y)`` per sampled coordinate.  ``t`` is the embedding's length.
+
+The kernel computes the same three hashes in numpy (its ``xxhash64`` is
+Spark's, bit for bit), so the tree of a repetition is a function of
+``(seed, rep, path)`` alone.  ``local_threshold`` and the
+``_MAX_DIST_LEVELS`` valve decide only where each node runs: the pair
+set and all three counters are those of the kernel run on the whole
+input at every repetition's root.
 
 Every repetition's root bucket holds the whole input, so the root level
 runs once, on ``pre`` itself: its size is ``pre``'s row count (the level's
@@ -61,10 +70,10 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 from pyspark.sql.window import Window
 
-from .cpsjoin_local import JoinStats, _check_pairs, cpsjoin_local_rep
+from .cpsjoin_local import _HASH_MOD, JoinStats, _check_pairs, cpsjoin_local_rep
 from .preprocess import preprocess
 
-__all__ = ["CPSJoinResult", "cpsjoin", "bucket_seed"]
+__all__ = ["CPSJoinResult", "cpsjoin"]
 
 _COUNTERS = ("pre_candidates", "candidates", "results")
 
@@ -78,29 +87,18 @@ _OUT_SCHEMA = T.StructType(
     + [T.StructField(c, T.LongType(), False) for c in _COUNTERS]
 )
 
-_HASH_MOD = 1 << 31
-
 # Distributed levels before the safety valve ships every bucket still over
-# ``local_threshold`` whole to the local kernel.
+# the local cut whole to the local kernel.  Like ``local_threshold`` it
+# only moves work: the kernel walks on down the same tree.
 _MAX_DIST_LEVELS = 8
 
 
 def _unit(col):
-    """Map a 64-bit hash column to a uniform-ish value in [0, 1)."""
-    return F.pmod(col, F.lit(_HASH_MOD)) / F.lit(float(_HASH_MOD))
+    """Map a 64-bit hash column to a uniform-ish value in [0, 1).
 
-
-def bucket_seed(seed: int, rep: int, path: int) -> int:
-    """Seed of the local kernel's run on bucket ``(rep, path)``.
-
-    Deterministic across processes (``SeedSequence`` of the three ints),
-    so a bucket's recursion does not depend on which task runs it.
+    Numpy twin: ``cpsjoin_local._unit``.
     """
-    return int(
-        np.random.SeedSequence(
-            [seed & 0x7FFFFFFF, rep, path & 0x7FFFFFFFFFFFFFFF]
-        ).generate_state(1)[0]
-    )
+    return F.pmod(col, F.lit(_HASH_MOD)) / F.lit(float(_HASH_MOD))
 
 
 def _with_counters(a, b, stats: JoinStats) -> pd.DataFrame:
@@ -233,6 +231,12 @@ def cpsjoin(
     preprocessing from join times for the same reason).  ``t`` and ``ell``
     size only an embedding the call makes itself; the join reads ``t``
     off the embedding it uses.
+
+    Buckets of at most ``max(limit, local_threshold)`` records run whole
+    in the local kernel; larger ones get a distributed level.  Both walk
+    the same Chosen-Path tree, so ``local_threshold`` (like the
+    ``_MAX_DIST_LEVELS`` valve) decides only where a bucket runs, not
+    the pairs or the counters.
     """
     if not 0 < lam < 1:
         raise ValueError(f"lam must be in (0,1), got {lam}")
@@ -240,6 +244,9 @@ def cpsjoin(
         # A singleton bucket would count as big, and the BRUTEFORCE cut
         # would divide by its size minus one.
         raise ValueError(f"local_threshold must be >= 1, got {local_threshold}")
+    # A bucket of at most ``limit`` records is brute-forced (Alg. 2), so
+    # it never gets a distributed level.
+    cut = max(limit, local_threshold)
     own_pre = pre is None
     if own_pre:
         pre = preprocess(sets_df, t=t, ell=ell, seed=seed).cache()
@@ -253,6 +260,7 @@ def cpsjoin(
             return (
                 rows.drop("rep", "path")
                 .crossJoin(reps_df)
+                # Numpy twin: ``cpsjoin_local.root_path``.
                 .withColumn("path", F.xxhash64("rep", F.lit(seed)))
             )
 
@@ -275,16 +283,17 @@ def cpsjoin(
         level = 0
         while True:
             expand = per_rep if level == 0 else (lambda rows: rows)
-            small = tagged.filter(
-                (F.col("gsize") <= local_threshold) & (F.col("gsize") >= 2)
-            )
-            local_parts.append(expand(small.drop("gsize")))
-            big = tagged.filter(F.col("gsize") > local_threshold)
-            if largest is None or largest <= local_threshold:
+            # Local rows carry their depth below the root, where the kernel
+            # resumes the tree.
+            depth = F.lit(level).alias("depth")
+            small = tagged.filter((F.col("gsize") <= cut) & (F.col("gsize") >= 2))
+            local_parts.append(expand(small.drop("gsize")).select("*", depth))
+            big = tagged.filter(F.col("gsize") > cut)
+            if largest is None or largest <= cut:
                 break
             if level >= _MAX_DIST_LEVELS:
                 # Safety valve: ship oversized buckets to the local kernel.
-                local_parts.append(expand(big.drop("gsize")))
+                local_parts.append(expand(big.drop("gsize")).select("*", depth))
                 break
 
             # Each record's summed embedded similarity to its bucket, and
@@ -322,6 +331,8 @@ def cpsjoin(
                 )
             survivors = expand(flagged.filter(~F.col("hot")).drop("hot"))
 
+            # Numpy twins of the coordinate choice and the child path: the
+            # split in ``cpsjoin_local._node``.
             sel = (
                 _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1)))
                 < 1.0 / (lam * F.col("t"))
@@ -348,14 +359,14 @@ def cpsjoin(
 
         # --- local buckets: run the full in-memory recursion per bucket ---
         def run_bucket(key, pdf):
-            rep, path = int(key[0]), int(key[1])
+            start = (key[1], int(pdf["depth"].iloc[0]))  # (path, depth)
             mh = np.stack(pdf["mh"].to_numpy()).astype(np.int64)
             sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
             tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
             sids = pdf["sid"].to_numpy()
             pairs, st = cpsjoin_local_rep(
                 mh, sketch, tokens, lam,
-                limit=limit, eps=eps, delta=delta, seed=bucket_seed(seed, rep, path),
+                limit=limit, eps=eps, delta=delta, seed=seed, start=start,
             )
             return _with_counters(sids[pairs[:, 0]], sids[pairs[:, 1]], st)
 
@@ -426,8 +437,9 @@ def _verify_pairs_df(pairs: DataFrame, lam: float, delta: float) -> DataFrame:
 
     ``pairs`` rows are ``(a, b, mult)`` plus both records (``_side``).
     Each row is verified once; its ``mult`` (how many times the candidate
-    generator produced the pair) weights the pre-candidate and candidate
-    counters so they keep Table IV's duplicate-inclusive semantics.  Emits
+    generator produced the pair) weights all three counters, so they
+    count per finding, as the local kernel does (Table IV's
+    duplicate-inclusive semantics).  Emits
     the verified pairs and one ``(-1, -1)`` counter row per Arrow batch.
     """
 
@@ -447,7 +459,7 @@ def _verify_pairs_df(pairs: DataFrame, lam: float, delta: float) -> DataFrame:
             mult = pdf["mult"].to_numpy()
             yield _with_counters(
                 pdf["a"].to_numpy()[hit], pdf["b"].to_numpy()[hit],
-                JoinStats(int(mult.sum()), int(mult[cand].sum()), int(hit.sum())),
+                JoinStats(int(mult.sum()), int(mult[cand].sum()), int(mult[hit].sum())),
             )
 
     return pairs.mapInPandas(run, schema=_OUT_SCHEMA)

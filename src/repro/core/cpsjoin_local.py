@@ -19,6 +19,16 @@ Recursion per node (set of records ``S``):
    coordinate partition the survivors by their value ``mh[:, i]`` and
    recurse on every part of size >= 2.
 
+The tree is the distributed driver's, hash for hash.  A node is named by
+its 64-bit ``path``: repetition ``r``'s root is ``xxhash64(r, seed)``,
+coordinate ``i`` is sampled at ``path`` when
+``pmod(xxhash64(path, i, seed, 1), 2^31) / 2^31 < 1/(lam * t)``, and the
+child holding the records with ``mh[:, i] == v`` is
+``xxhash64(path, i, v)``.  ``xxhash64`` below is Spark SQL's function in
+numpy, so the driver's Spark expressions and this kernel draw the same
+tree, and where a node runs (a distributed level or this kernel) does
+not change what it does.
+
 Counters follow §VI-A4: *pre-candidates* are all pairs considered by the
 brute-force subroutines, *candidates* are those passing the size check
 and the 1-bit sketch check (before dedup), *results* are exact-verified
@@ -33,7 +43,8 @@ import numpy as np
 from .sketches import sketch_pass
 from .verify import jaccard, size_filter
 
-__all__ = ["JoinStats", "cpsjoin_local_rep", "brute_force_pairs_arrays"]
+__all__ = ["JoinStats", "cpsjoin_local_rep", "brute_force_pairs_arrays", "xxhash64",
+           "root_path"]
 
 
 @dataclass
@@ -54,17 +65,87 @@ class JoinStats:
         return (self.pre_candidates, self.candidates, self.results)
 
 
-# Tree depth at which a node brute-forces its records whatever their number.
+# Tree depth (counted from the root) at which a node brute-forces its
+# records whatever their number.
 _MAX_DEPTH = 96
+
+# Spark's XXH64 (``org.apache.spark.sql.catalyst.expressions.XXH64``).
+_P1 = np.uint64(0x9E3779B185EBCA87)
+_P2 = np.uint64(0xC2B2AE3D27D4EB4F)
+_P3 = np.uint64(0x165667B19E3779F9)
+_P4 = np.uint64(0x85EBCA77C2B2AE63)
+_P5 = np.uint64(0x27D4EB2F165667C5)
+_XXH_SEED = np.uint64(42)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _rotl(x, r: int):
+    return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
+
+
+def _fmix(h):
+    h = (h ^ (h >> np.uint64(33))) * _P2
+    h = (h ^ (h >> np.uint64(29))) * _P3
+    return h ^ (h >> np.uint64(32))
+
+
+def _hash_int(v, h):
+    """``XXH64.hashInt``: 32-bit ``v`` (int32) into running hash ``h``."""
+    h = (h + _P5 + np.uint64(4)) ^ ((v.astype(np.uint64) & _LOW32) * _P1)
+    return _fmix(_rotl(h, 23) * _P2 + _P3)
+
+
+def _hash_long(v, h):
+    """``XXH64.hashLong``: 64-bit ``v`` (int64) into running hash ``h``."""
+    h = (h + _P5 + np.uint64(8)) ^ (_rotl(v.astype(np.uint64) * _P2, 31) * _P1)
+    return _fmix(_rotl(h, 27) * _P1 + _P4)
+
+
+def xxhash64(*cols) -> np.ndarray:
+    """Spark SQL's ``xxhash64(c1, ..., ck)`` on numpy values, bit for bit.
+
+    Spark starts at seed 42 and hashes the columns left to right, each
+    into the hash of those before it: an int column with ``hashInt``, a
+    long one with ``hashLong``.  Here an ``int32`` value is an int column
+    and an ``int64`` one a long column; a Python ``int`` is typed as
+    ``F.lit`` types it (int if it fits 32 bits, else long).  Arrays
+    broadcast; the result is int64, as Spark returns it.
+    """
+    h = _XXH_SEED
+    with np.errstate(over="ignore"):
+        for c in cols:
+            if isinstance(c, int):
+                c = np.int32(c) if -(1 << 31) <= c < (1 << 31) else np.int64(c)
+            c = np.asarray(c)
+            if c.dtype == np.int32:
+                h = _hash_int(c, h)
+            elif c.dtype == np.int64:
+                h = _hash_long(c, h)
+            else:
+                raise TypeError(f"xxhash64 takes int32 or int64 values, got {c.dtype}")
+    return np.asarray(h).astype(np.int64)
+
+
+def root_path(rep: int, seed: int) -> int:
+    """Repetition ``rep``'s root path: the driver's ``xxhash64(rep, lit(seed))``."""
+    return int(xxhash64(np.int32(rep), seed))
+
+
+_HASH_MOD = 1 << 31
+
+
+def _unit(h: np.ndarray) -> np.ndarray:
+    """Map int64 hashes to [0, 1) as the driver's ``pmod(h, 2^31) / 2^31``."""
+    return (h % _HASH_MOD) / float(_HASH_MOD)
 
 
 class _Ctx:
     """Shared read-only record data + output accumulators for one rep."""
 
     __slots__ = ("mh", "sketches", "tokens", "sizes", "lam", "eps", "delta",
-                 "limit", "rng", "pairs", "stats", "t")
+                 "limit", "seed", "coords", "pairs", "stats", "t")
 
-    def __init__(self, mh, sketches, tokens, lam, eps, delta, limit, rng):
+    def __init__(self, mh, sketches, tokens, lam, eps, delta, limit, seed):
         self.mh = mh
         self.sketches = sketches
         self.tokens = [np.asarray(x, dtype=np.int64) for x in tokens]
@@ -73,10 +154,11 @@ class _Ctx:
         self.eps = eps
         self.delta = delta
         self.limit = limit
-        self.rng = rng
+        self.seed = seed
         self.pairs: list[np.ndarray] = []  # (m, 2) blocks of a < b pairs
         self.stats = JoinStats()
         self.t = mh.shape[1]
+        self.coords = np.arange(self.t, dtype=np.int32)  # ``posexplode``'s int ``i``
 
 
 def _check_pairs(tokens, sizes, sketches, ia, ib, lam: float, delta: float):
@@ -113,8 +195,8 @@ def _brute_force_pairs(ctx: _Ctx, idx: np.ndarray) -> None:
     _check(ctx, idx[ia], idx[ib])
 
 
-def _node(ctx: _Ctx, idx: np.ndarray, depth: int) -> None:
-    """One Chosen-Path tree node on record indices ``idx``."""
+def _node(ctx: _Ctx, idx: np.ndarray, path: int, depth: int) -> None:
+    """Tree node ``path``, ``depth`` levels below the root, on record indices ``idx``."""
     g = len(idx)
     if g < 2:
         return
@@ -143,16 +225,20 @@ def _node(ctx: _Ctx, idx: np.ndarray, depth: int) -> None:
         sub = sub[~removed]
         if len(idx) < 2:
             return
-    # Splitting step: each coordinate kept with probability 1/(lam*t).
-    sel = np.flatnonzero(ctx.rng.random(ctx.t) < 1.0 / (ctx.lam * ctx.t))
+    # Splitting step: each coordinate kept with probability 1/(lam*t),
+    # decided by the hash of (path, i), as the driver decides it.
+    path64 = np.int64(path)
+    h = xxhash64(path64, ctx.coords, ctx.seed, 1)
+    sel = np.flatnonzero(_unit(h) < 1.0 / (ctx.lam * ctx.t))
     for i in sel.tolist():
         col = sub[:, i]
         order = np.argsort(col, kind="stable")
         col_sorted = col[order]
         cuts = np.flatnonzero(np.diff(col_sorted)) + 1
-        for part in np.split(order, cuts):
+        children = xxhash64(path64, np.int32(i), col_sorted[np.r_[0, cuts]]).tolist()
+        for child, part in zip(children, np.split(order, cuts)):
             if len(part) >= 2:
-                _node(ctx, idx[part], depth + 1)
+                _node(ctx, idx[part], child, depth + 1)
 
 
 def cpsjoin_local_rep(
@@ -165,18 +251,21 @@ def cpsjoin_local_rep(
     eps: float = 0.1,
     delta: float = 0.05,
     seed: int = 0,
+    start: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, JoinStats]:
     """One repetition of CPSJoin on an in-memory bucket.
 
     ``mh``: int64 ``(g, t)`` embedding, ``sketches``: uint64 ``(g, ell)``,
-    ``tokens``: sequence of sorted unique token arrays.  Returns
+    ``tokens``: sequence of sorted unique token arrays.  The records are
+    the tree node ``start = (path, depth)`` of the join with ``seed``;
+    by default repetition 0's root, ``(root_path(0, seed), 0)``.  Returns
     ``(pairs, stats)`` where ``pairs`` is an int64 ``(m, 2)`` array of
     *deduplicated* verified local index pairs (a < b) and ``stats``
     counts raw pipeline traffic (pre-dedup, Table IV semantics).
     """
-    ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit,
-               np.random.default_rng(seed))
-    _node(ctx, np.arange(len(tokens), dtype=np.int64), 0)
+    path, depth = start if start is not None else (root_path(0, seed), 0)
+    ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit, seed)
+    _node(ctx, np.arange(len(tokens), dtype=np.int64), path, depth)
     if ctx.pairs:
         pairs = np.unique(np.concatenate(ctx.pairs), axis=0)
     else:

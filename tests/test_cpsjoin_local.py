@@ -4,10 +4,12 @@ import pytest
 
 from repro import datasets
 from repro.core.cpsjoin_local import (
+    _MAX_DEPTH,
     JoinStats,
     _check_pairs,
     brute_force_pairs_arrays,
     cpsjoin_local_rep,
+    root_path,
 )
 from repro.core.minhash import MinHasher
 from repro.exact import brute_force_join
@@ -22,12 +24,14 @@ def _embed(sets, t=64, ell=8, seed=1):
     return mh, sk
 
 
-def _run_reps(sets, lam, reps=10, **kw):
+def _run_reps(sets, lam, reps=10, seed=0, **kw):
+    """Repetitions ``0..reps-1`` of the join with ``seed``, each from its root."""
     mh, sk = _embed(sets)
     found: set[tuple[int, int]] = set()
     stats = JoinStats()
     for rep in range(reps):
-        pairs, st = cpsjoin_local_rep(mh, sk, sets, lam, seed=rep, **kw)
+        pairs, st = cpsjoin_local_rep(mh, sk, sets, lam, seed=seed,
+                                      start=(root_path(rep, seed), 0), **kw)
         found |= {tuple(p) for p in pairs.tolist()}
         stats.merge(st)
     return found, stats
@@ -114,6 +118,27 @@ class TestDeterminism:
         p2, s2 = cpsjoin_local_rep(mh, sk, sets, 0.5, seed=123)
         np.testing.assert_array_equal(p1, p2)
         assert s1.as_tuple() == s2.as_tuple()
+
+    def test_bare_seed_starts_at_repetition_zeros_root(self):
+        sets = datasets.generate("DBLP", seed=0, scale=0.2)
+        mh, sk = _embed(sets)
+        kw = dict(limit=20, seed=3)
+        p0, s0 = cpsjoin_local_rep(mh, sk, sets, 0.5, **kw)
+        p1, s1 = cpsjoin_local_rep(mh, sk, sets, 0.5, start=(root_path(0, 3), 0), **kw)
+        _, s2 = cpsjoin_local_rep(mh, sk, sets, 0.5, start=(root_path(1, 3), 0), **kw)
+        np.testing.assert_array_equal(p0, p1)
+        assert s0.as_tuple() == s1.as_tuple()
+        assert s2.as_tuple() != s0.as_tuple()  # another repetition, another tree
+
+    def test_depth_bound_counts_from_the_start_depth(self):
+        """A node ``_MAX_DEPTH`` levels below the root brute-forces its
+        records, however many: the bound is on the tree, not on the call."""
+        sets = datasets.generate("DBLP", seed=0, scale=0.2)
+        mh, sk = _embed(sets)
+        n = len(sets)
+        _, st = cpsjoin_local_rep(mh, sk, sets, 0.5, limit=20, seed=3,
+                                  start=(root_path(0, 3), _MAX_DEPTH))
+        assert st.pre_candidates == n * (n - 1) // 2
 
 
 class TestEdgeCases:

@@ -5,8 +5,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import datasets, setsynth
-from repro.core.cpsjoin import bucket_seed, cpsjoin
-from repro.core.cpsjoin_local import JoinStats, cpsjoin_local_rep
+from repro.core.cpsjoin import cpsjoin
+from repro.core.cpsjoin_local import JoinStats, cpsjoin_local_rep, root_path
 from repro.core.preprocess import preprocess
 from repro.exact import brute_force_join, exact_join_sql, precision, recall
 from repro.oracle import assert_equivalent
@@ -14,26 +14,36 @@ from repro.setsynth import collection_to_pandas, collection_to_spark
 
 from ._helpers import arrow_batch_rows, pair_set, pair_sha256, run_counted
 
-# SHA-256 of the sorted pair set of the pinned DBLP join below; a change
-# to the driver's Spark plan must not move it.
+# BRUTEFORCEPAIRS limit of the DBLP x0.2 joins that need distributed
+# levels: every bucket of at most ``max(limit, local_threshold)`` records
+# runs in the local kernel.
+DBLP_LIMIT = 20
+
+# The kernel's union over the repetitions of the DBLP x0.2 join in the
+# placement test (t=64, limit 20, 10 reps, seed 2): pair-set SHA-256 and
+# counters.  Every placement of that join must equal it, so it pins the
+# Chosen-Path tree the driver and the kernel share.
 PINNED_SHA256 = "1ef2771785deee82c1e2b1e4fe0b5034566fba095e668b3085e0f082fd958596"
+PINNED_STATS = (21129, 729, 524)
 
 # The root-cluster join below: pair-set SHA-256, counters, ``n_results``.
-# Recorded while every repetition still ran the root's BRUTEFORCE step
-# itself, so it pins the once-per-repetition weight of the root's
-# BRUTEFORCEPOINT pairs.
+# The pre-candidates and candidates were recorded while every repetition
+# still ran the root's BRUTEFORCE step itself, so they pin the
+# once-per-repetition weight of the root's BRUTEFORCEPOINT pairs; the
+# results count each verified finding, as the kernel does.
 ROOT_PINNED = (
     "ba716b2c68b154fcd7c304d7703d9587bfb959463563221c34f42608c620e1c4",
-    (13779, 9536, 1904), 1776,
+    (13779, 9536, 9536), 1776,
 )
 
 # The join below the root (``below_root_sets``): pair-set SHA-256,
-# counters, ``n_results``.  Recorded while the level rows carried only
-# ``(rep, path, sid)`` and every BRUTEFORCEPOINT pair was joined with the
-# embedding by ``sid``.
+# counters, ``n_results``.  The pair set, pre-candidates and candidates
+# were recorded while the level rows carried only ``(rep, path, sid)``
+# and every BRUTEFORCEPOINT pair was joined with the embedding by
+# ``sid``; the results count each verified finding, as the kernel does.
 BELOW_ROOT_PINNED = (
     "2f36a31fece8134d4a434609ff67d6b18ede484f41ddb9f3e1a7187daddf9f5b",
-    (7880, 7038, 492), 440,
+    (7880, 7038, 7021), 440,
 )
 
 # Tasks of the 58-set join in the task-budget test: 370 when each pandas
@@ -68,8 +78,8 @@ def below_root_sets():
     """A 30-set near-duplicate cluster and 120 Zipf sets with planted pairs.
 
     In the 156-set root bucket the cluster's average similarity stays
-    under the BRUTEFORCE cut; at ``local_threshold=10`` BRUTEFORCEPOINT
-    removes its records in the level-1 buckets instead.
+    under the BRUTEFORCE cut; at ``limit=10`` BRUTEFORCEPOINT removes its
+    records in the level-1 buckets instead.
     """
     rng = np.random.default_rng(7)
     d = 2000
@@ -113,24 +123,25 @@ class TestCorrectness:
         sets, df = dblp
         truth = brute_force_join(sets, 0.5)
         res = cpsjoin(
-            spark, df, 0.5, t=64, ell=8, reps=10, seed=2, local_threshold=40
+            spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
+            limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT,
         )
         assert res.levels >= 1
         assert precision(res.pairs, truth) == 1.0
         assert recall(res.pairs, truth) >= 0.9
 
     def test_max_dist_levels_valve(self, spark, dblp, monkeypatch):
-        """With the valve at one level, every bucket still over
-        ``local_threshold`` after the root goes whole to the local kernel
-        (4 levels and (33457, 699, 437) without it)."""
+        """With the valve at one level, every bucket still over the local
+        cut after the root goes whole to the local kernel.  That it
+        changes no output is the placement test's job."""
         monkeypatch.setattr("repro.core.cpsjoin._MAX_DIST_LEVELS", 1)
         sets, df = dblp
         truth = brute_force_join(sets, 0.5)
         res = cpsjoin(
-            spark, df, 0.5, t=64, ell=8, reps=10, seed=2, local_threshold=40
+            spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
+            limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT,
         )
         assert res.levels == 1
-        assert res.stats.as_tuple() == (57655, 721, 359)
         assert precision(res.pairs, truth) == 1.0
         assert recall(res.pairs, truth) >= 0.9
         res.pairs.unpersist()
@@ -149,12 +160,13 @@ class TestExactThreshold:
     def test_pair_at_exactly_lambda(self, spark, local_threshold):
         """J = 55/100 equals lam = 0.55 in double arithmetic, but
         ``0.55 * 100`` rounds to 55.00000000000001.  The pair goes to a
-        local bucket, or with ``local_threshold=1`` through BRUTEFORCEPOINT
-        (``eps=0.5`` makes both records hot) to ``_verify_pairs_df``."""
+        local bucket, or with ``limit = local_threshold = 1`` through
+        BRUTEFORCEPOINT (``eps=0.5`` makes both records hot) to
+        ``_verify_pairs_df``."""
         sets = [np.arange(100), np.arange(45, 100)]
         df = collection_to_spark(spark, sets)
         res = cpsjoin(spark, df, 0.55, t=64, ell=8, reps=2, eps=0.5, delta=1.0,
-                      seed=0, local_threshold=local_threshold)
+                      seed=0, limit=local_threshold, local_threshold=local_threshold)
         assert_equivalent(
             res.pairs, exact_join_sql(0.55), sets=collection_to_pandas(sets)
         )
@@ -232,15 +244,16 @@ class TestPreprocessSchema:
 
 class TestSameOutput:
     def test_pinned_output_with_distributed_levels(self, spark, dblp):
-        """Pair set, counters and ``n_results`` at a fixed seed."""
+        """Pair set, counters and ``n_results`` of the DBLP join that splits
+        over four driver levels: the kernel union's pins."""
         _, df = dblp
         res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
-                      local_threshold=40)
+                      limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT)
         pairs = pair_set(res)
         res.pairs.unpersist()
         assert res.levels == 4
         assert pair_sha256(pairs) == PINNED_SHA256
-        assert res.stats.as_tuple() == (33457, 699, 437)
+        assert res.stats.as_tuple() == PINNED_STATS
         assert res.n_results == len(pairs) == 27
 
     def test_pinned_output_across_arrow_batches(self, spark, dblp):
@@ -248,22 +261,22 @@ class TestSameOutput:
         _, df = dblp
         with arrow_batch_rows(spark, 7):
             res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
-                          local_threshold=40)
+                          limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT)
         pairs = pair_set(res)
         res.pairs.unpersist()
         assert res.levels == 4
         assert pair_sha256(pairs) == PINNED_SHA256
-        assert res.stats.as_tuple() == (33457, 699, 437)
+        assert res.stats.as_tuple() == PINNED_STATS
         assert res.n_results == len(pairs) == 27
 
     def test_pinned_root_bruteforcepoint(self, spark):
-        """The root bucket exceeds ``local_threshold`` and BRUTEFORCEPOINT
-        removes the planted cluster there: its pairs count once per
-        repetition, as when every repetition ran the root itself."""
+        """The root bucket exceeds ``limit`` and BRUTEFORCEPOINT removes the
+        planted cluster there: its pairs count once per repetition, as when
+        every repetition ran the root itself."""
         sets = root_cluster_sets()
         df = collection_to_spark(spark, sets)
         res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
-                      local_threshold=50)
+                      limit=50, local_threshold=50)
         pairs = pair_set(res)
         res.pairs.unpersist()
         sha, stats, n_results = ROOT_PINNED
@@ -281,7 +294,7 @@ class TestSameOutput:
         sets = below_root_sets()
         df = collection_to_spark(spark, sets)
         res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
-                      local_threshold=10)
+                      limit=10, local_threshold=10)
         pairs = pair_set(res)
         res.pairs.unpersist()
         sha, stats, n_results = BELOW_ROOT_PINNED
@@ -299,8 +312,8 @@ class TestSameOutput:
         pre.count()
         out = []
         for kw in ({}, {"t": 64}):
-            res = cpsjoin(spark, df, 0.5, reps=3, seed=6, local_threshold=40,
-                          pre=pre, **kw)
+            res = cpsjoin(spark, df, 0.5, reps=3, seed=6, limit=DBLP_LIMIT,
+                          local_threshold=DBLP_LIMIT, pre=pre, **kw)
             out.append((res.levels, pair_set(res), res.stats.as_tuple(), res.n_results))
             res.pairs.unpersist()
         pre.unpersist()
@@ -310,7 +323,8 @@ class TestSameOutput:
     def test_driver_equals_kernel_when_input_fits_one_task(self, spark, dblp):
         """With ``local_threshold >= n`` every repetition's root bucket goes
         whole to the local kernel, so the driver must equal
-        ``cpsjoin_local_rep`` run per repetition with the same seed."""
+        ``cpsjoin_local_rep`` run from each repetition's root path with the
+        join's seed and its ``limit``, ``eps`` and ``delta``."""
         _, df = dblp
         seed, reps, lam = 3, 4, 0.5
         params = dict(limit=20, eps=0.1, delta=0.05)
@@ -327,15 +341,11 @@ class TestSameOutput:
         mh = np.stack(rows["mh"].to_numpy()).astype(np.int64)
         sketch = np.stack(rows["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
         tokens = [np.asarray(x, dtype=np.int64) for x in rows["tokens"]]
-        roots = spark.range(reps).select(
-            F.col("id").cast("int").alias("rep"),
-            F.xxhash64(F.col("id").cast("int"), F.lit(seed)).alias("path"),
-        ).collect()
         want, stats = set(), JoinStats()
-        for r in roots:
+        for rep in range(reps):
             pairs, st = cpsjoin_local_rep(
-                mh, sketch, tokens, lam,
-                seed=bucket_seed(seed, r["rep"], r["path"]), **params,
+                mh, sketch, tokens, lam, seed=seed,
+                start=(root_path(rep, seed), 0), **params,
             )
             want |= {(int(sids[a]), int(sids[b])) for a, b in pairs}
             stats.merge(st)
@@ -343,6 +353,73 @@ class TestSameOutput:
         assert got == want
         assert res.stats.as_tuple() == stats.as_tuple()
         assert res.n_results == len(want)
+
+
+class TestPlacementInvariance:
+    """The driver's levels and the local kernel walk one Chosen-Path tree.
+
+    ``local_threshold`` and the ``_MAX_DIST_LEVELS`` valve decide only
+    where each tree node runs, so every placement gives the pair set and
+    all three counters of ``cpsjoin_local_rep`` run on the whole input at
+    every repetition's root path.
+    """
+
+    # input, limit, reps, seed
+    CASES = {
+        "dblp": (lambda: datasets.generate("DBLP", seed=0, scale=0.2), DBLP_LIMIT, 10, 2),
+        "root_cluster": (root_cluster_sets, 50, 3, 1),
+        "below_root": (below_root_sets, 10, 3, 1),
+    }
+
+    @staticmethod
+    def kernel_union(rows, lam, reps, seed, limit):
+        sids = rows["sid"].to_numpy()
+        mh = np.stack(rows["mh"].to_numpy()).astype(np.int64)
+        sketch = np.stack(rows["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
+        tokens = [np.asarray(x, dtype=np.int64) for x in rows["tokens"]]
+        want, stats = set(), JoinStats()
+        for rep in range(reps):
+            pairs, st = cpsjoin_local_rep(
+                mh, sketch, tokens, lam, limit=limit, seed=seed,
+                start=(root_path(rep, seed), 0),
+            )
+            want |= {(int(sids[a]), int(sids[b])) for a, b in pairs}
+            stats.merge(st)
+        return want, stats.as_tuple()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_placement_changes_no_output(self, spark, monkeypatch, case):
+        make, limit, reps, seed = self.CASES[case]
+        sets = make()
+        n = len(sets)
+        df = collection_to_spark(spark, sets)
+        pre = preprocess(df, t=64, ell=8, seed=seed).cache()
+        want = self.kernel_union(pre.toPandas(), 0.5, reps, seed, limit)
+        assert want[0], "the kernel must find pairs for the comparison to bite"
+        if case == "dblp":
+            assert pair_sha256(want[0]) == PINNED_SHA256
+            assert want[1] == PINNED_STATS
+
+        def join(local_threshold):
+            res = cpsjoin(spark, df, 0.5, reps=reps, seed=seed, limit=limit,
+                          local_threshold=local_threshold, pre=pre)
+            got = (pair_set(res), res.stats.as_tuple())
+            res.pairs.unpersist()
+            assert res.n_results == len(got[0])
+            return res.levels, got
+
+        # Below ``limit`` as well: such a bucket is brute-forced, so it must
+        # not get a distributed level.
+        runs = {lt: join(lt) for lt in (limit // 2, limit, 2 * limit, n)}
+        with arrow_batch_rows(spark, 7):
+            runs["arrow-7"] = join(limit)
+        monkeypatch.setattr("repro.core.cpsjoin._MAX_DIST_LEVELS", 1)
+        runs["valve-1"] = join(limit)
+        pre.unpersist()
+        assert runs[limit][0] >= 1 and runs[n][0] == 0
+        assert runs["valve-1"][0] == 1
+        for name, (_, got) in runs.items():
+            assert got == want, name
 
 
 class TestSparkResources:
@@ -354,22 +431,23 @@ class TestSparkResources:
         for seed in range(3):
             before = len(jsc.getPersistentRDDs())
             res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=seed,
-                          local_threshold=40)
+                          limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT)
             assert res.levels >= 1
             res.pairs.unpersist()
             assert len(jsc.getPersistentRDDs()) == before
 
     def test_jobs_per_level(self, spark, dblp):
-        """The pinned 4-level join runs at most ``13 + 15 * levels`` Spark
-        jobs and under 200 tasks (recorded at 4 cores: 81 jobs and 287
+        """The 4-level DBLP join at limit 20 runs at most ``13 + 15 * levels``
+        Spark jobs and under 200 tasks (recorded at 4 cores for the 4-level
+        join at ``local_threshold=40`` below limit 250: 81 jobs and 287
         tasks when each repetition ran the root level, the BRUTEFORCE
         similarities were evaluated twice per level and each bucket had its
-        own Python call; 68 and 145 since)."""
+        own Python call, 68 and 145 since; 40 and 72 at limit 20)."""
         _, df = dblp
         res, jobs, tasks = run_counted(
             spark, "cpsjoin-jobs-per-level",
             lambda: cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
-                            local_threshold=40),
+                            limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT),
         )
         res.pairs.unpersist()
         assert res.levels == 4
@@ -386,7 +464,7 @@ class TestSparkResources:
         res, jobs, _ = run_counted(
             spark, "cpsjoin-jobs-root-bruteforcepoint",
             lambda: cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
-                            local_threshold=50),
+                            limit=50, local_threshold=50),
         )
         res.pairs.unpersist()
         assert res.levels == 1

@@ -60,10 +60,13 @@ def _outputs(join, dfs):
 
 @pytest.mark.parametrize("local_threshold", [4000, 40])
 def test_cpsjoin(spark, collections, local_threshold):
+    """At the default ``limit`` and at ``limit = local_threshold = 40``,
+    where the join runs distributed levels."""
     _, dfs = collections
+    limit = min(250, local_threshold)
     clean, dirty = _outputs(
         lambda df: cpsjoin(spark, df, LAM, t=64, ell=8, reps=3, seed=1,
-                           local_threshold=local_threshold),
+                           limit=limit, local_threshold=local_threshold),
         dfs,
     )
     assert clean[0], "the join must find pairs for the comparison to bite"
