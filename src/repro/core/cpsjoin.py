@@ -1,48 +1,48 @@
 """Distributed CPSJoin — the paper's contribution as a Spark dataflow.
 
-Level-by-level Chosen-Path recursion over a DataFrame of
-``(rep, path, sid, tokens, size, mh, sketch)`` rows: each row carries its
-record, read once from the embedding ``pre`` (all repetitions run in one
-dataflow; the root path of repetition ``r`` is ``xxhash64(r, seed)``):
+All repetitions run in one dataflow over rows ``(rep, path, sid, tokens,
+size, mh, sketch)``: each row carries its record, read once from the
+embedding ``pre``, and ``(rep, path)`` names its node in repetition
+``rep``'s Chosen-Path tree (the root path of repetition ``r`` is
+``xxhash64(r, seed)``).  Every repetition's root holds the whole input,
+so the root runs once, on ``pre`` itself, and its size is ``pre``'s row
+count:
 
-1. bucket sizes as a window count over ``(rep, path)``; the level's one
-   action reads the largest;
-2. buckets that fit in one task (at most ``max(limit, local_threshold)``
-   records) go to ``_map_buckets`` (many buckets per Python call) and are
-   finished by the exact in-memory recursion of Algorithms 1+2
-   (``core.cpsjoin_local``), which resumes the tree at the bucket's path
-   and depth;
-3. larger buckets get the distributed BRUTEFORCE step: per-bucket
-   MinHash-coordinate value counts give every record's average embedded
-   similarity to its bucket; records above ``(1 - eps) * lam`` are
-   flagged ``hot``, become BRUTEFORCEPOINT candidate pairs against their
-   whole bucket and leave the recursion;
-4. survivors split: coordinate ``i`` is chosen for a path iff
-   ``hash(path, i) < 1/(lam * t)`` (expected ``1/lam`` coordinates per
-   node, the §V-A3 heuristic) and the child bucket id is
-   ``xxhash64(path, i, mh_i(x))`` — sets sharing the sampled MinHash
-   value meet again one level down, which happens with probability
-   ``J(x, y)`` per sampled coordinate.  ``t`` is the embedding's length.
+* an input of at most ``max(limit, local_threshold)`` records is copied
+  to every repetition's root path and goes to ``_map_buckets`` (many
+  buckets per Python call), where the exact in-memory recursion of
+  Algorithms 1+2 (``core.cpsjoin_local``) runs each repetition whole;
+* a larger input runs the root distributed, in one level for all
+  repetitions:
+
+  1. the BRUTEFORCE step: MinHash-coordinate value counts (one window
+     over ``(i, v)`` of ``posexplode(mh)``) give every record's average
+     embedded similarity to the input; records above ``(1 - eps) * lam``
+     are flagged ``hot``, become BRUTEFORCEPOINT candidate pairs against
+     every record and leave the recursion;
+  2. one split: the survivors are copied to every repetition's root
+     path; coordinate ``i`` is chosen for a path iff
+     ``hash(path, i) < 1/(lam * t)`` (expected ``1/lam`` coordinates per
+     node, the §V-A3 heuristic) and the child bucket id is
+     ``xxhash64(path, i, mh_i(x))`` — sets sharing the sampled MinHash
+     value meet again one level down, which happens with probability
+     ``J(x, y)`` per sampled coordinate.  ``t`` is the embedding's length;
+  3. every child bucket, whatever its size, goes to ``_map_buckets``,
+     where the kernel resumes the tree at the child's path and depth 1.
 
 The kernel computes the same three hashes in numpy (its ``xxhash64`` is
 Spark's, bit for bit), so the tree of a repetition is a function of
-``(seed, rep, path)`` alone.  ``local_threshold`` and the
-``_MAX_DIST_LEVELS`` valve decide only where each node runs: the pair
-set and all three counters are those of the kernel run on the whole
-input at every repetition's root.
+``(seed, rep, path)`` alone.  ``local_threshold`` decides only where the
+root runs: the pair set and all three counters are those of the kernel
+run on the whole input at every repetition's root.
 
-Every repetition's root bucket holds the whole input, so the root level
-runs once, on ``pre`` itself: its size is ``pre``'s row count (the level's
-action), and its survivors and local rows are copied to every
-repetition's root path before they split or go to the kernel.  Its
-BRUTEFORCEPOINT pairs are a cross join of the hot records with all
-records, each pair emitted once with both records and with ``mult``
-``reps`` per finding (twice when both records are hot).  They skip the
-dedup: a removed record leaves the recursion, so no other bucket finds
-them.  Pairs found below the root are deduplicated, counted, and only
-then joined with their records from ``pre``.  Each level's bucket rows
-(with their sizes, then with their ``hot`` flags) are lazy local
-checkpoints, computed once and released before ``cpsjoin`` returns.
+The root's BRUTEFORCEPOINT pairs are a cross join of the hot records
+with all records, each pair emitted once with both records and with
+``mult`` ``reps`` per finding (twice when both records are hot).  They
+skip the dedup: a removed record leaves the recursion, so no other
+bucket finds them.  The root's records with their ``hot`` flags are a
+lazy local checkpoint, read by both routes, computed once and released
+before ``cpsjoin`` returns.
 
 Candidate pairs from both routes run the shared pipeline: size check,
 1-bit sketch check (false-negative rate ``delta``), exact Jaccard
@@ -61,7 +61,6 @@ would run one Python task per shuffle partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -77,7 +76,7 @@ __all__ = ["CPSJoinResult", "cpsjoin"]
 
 _COUNTERS = ("pre_candidates", "candidates", "results")
 
-# The ``preprocess`` columns each level row carries.
+# The ``preprocess`` columns each bucket row carries.
 _RECORD = ("sid", "tokens", "size", "mh", "sketch")
 
 # Verified pairs (a < b) and counter rows (a = b = -1); pair rows carry
@@ -86,11 +85,6 @@ _OUT_SCHEMA = T.StructType(
     [T.StructField("a", T.LongType(), False), T.StructField("b", T.LongType(), False)]
     + [T.StructField(c, T.LongType(), False) for c in _COUNTERS]
 )
-
-# Distributed levels before the safety valve ships every bucket still over
-# the local cut whole to the local kernel.  Like ``local_threshold`` it
-# only moves work: the kernel walks on down the same tree.
-_MAX_DIST_LEVELS = 8
 
 
 def _unit(col):
@@ -161,9 +155,15 @@ def _map_buckets(df: DataFrame, keys: list[str], fn, schema) -> DataFrame:
     each partition, so every bucket is one run of equal keys.
     ``mapInPandas`` cuts each Arrow batch at key changes and carries the
     run a batch ends in into the next batch, so ``fn`` sees each bucket
-    whole and once.  ``fn`` returns ``schema`` rows; the outputs of the
-    buckets a batch completes are emitted together.
+    whole and once.  A one-row bucket holds no pair, so ``fn`` never sees
+    one.  ``fn`` returns ``schema`` rows; the outputs of the buckets a
+    batch completes are emitted together.
     """
+
+    def call(key, parts):
+        if sum(map(len, parts)) < 2:
+            return []
+        return [fn(key, pd.concat(parts, ignore_index=True))]
 
     def run(batches):
         held, held_key = [], None  # the bucket the previous batch ended in
@@ -177,14 +177,14 @@ def _map_buckets(df: DataFrame, keys: list[str], fn, schema) -> DataFrame:
             for s, e in zip(starts.tolist(), ends.tolist()):
                 k = tuple(key[s].tolist())
                 if held and k != held_key:
-                    outs.append(fn(held_key, pd.concat(held, ignore_index=True)))
+                    outs += call(held_key, held)
                     held = []
                 held_key = k
                 held.append(pdf.iloc[s:e])
             if outs:
                 yield pd.concat(outs, ignore_index=True)
         if held:
-            yield fn(held_key, pd.concat(held, ignore_index=True))
+            yield from call(held_key, held)
 
     return df.repartition(*keys).sortWithinPartitions(*keys).mapInPandas(run, schema)
 
@@ -206,7 +206,7 @@ class CPSJoinResult:
     pairs: DataFrame  # (sid_a, sid_b), sid_a < sid_b, distinct
     stats: JoinStats
     n_results: int
-    levels: int  # distributed levels executed
+    levels: int  # distributed levels executed: 1 if the root ran distributed, else 0
 
 
 def cpsjoin(
@@ -232,171 +232,105 @@ def cpsjoin(
     size only an embedding the call makes itself; the join reads ``t``
     off the embedding it uses.
 
-    Buckets of at most ``max(limit, local_threshold)`` records run whole
-    in the local kernel; larger ones get a distributed level.  Both walk
-    the same Chosen-Path tree, so ``local_threshold`` (like the
-    ``_MAX_DIST_LEVELS`` valve) decides only where a bucket runs, not
-    the pairs or the counters.
+    An input of at most ``max(limit, local_threshold)`` records runs whole
+    in the local kernel, one kernel call per repetition; a larger one runs the
+    tree's root distributed and every node below it in the kernel.  Both
+    walk the same Chosen-Path tree, so ``local_threshold`` decides only
+    where the root runs, not the pairs or the counters.
     """
     if not 0 < lam < 1:
         raise ValueError(f"lam must be in (0,1), got {lam}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if local_threshold < 1:
-        # A singleton bucket would count as big, and the BRUTEFORCE cut
+        # A one-record root would count as big, and the BRUTEFORCE cut
         # would divide by its size minus one.
         raise ValueError(f"local_threshold must be >= 1, got {local_threshold}")
-    # A bucket of at most ``limit`` records is brute-forced (Alg. 2), so
-    # it never gets a distributed level.
+    # A root of at most ``limit`` records is brute-forced (Alg. 2), so it
+    # never runs distributed.
     cut = max(limit, local_threshold)
     own_pre = pre is None
     if own_pre:
         pre = preprocess(sets_df, t=t, ell=ell, seed=seed).cache()
 
-    checkpoints: list[DataFrame] = []  # released once the pairs are cached
+    flagged = None  # the root's records with their ``hot`` flags, a checkpoint
     try:
         reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
 
         def per_rep(rows: DataFrame) -> DataFrame:
             """The root bucket's ``rows``, once per repetition under its root path."""
             return (
-                rows.drop("rep", "path")
-                .crossJoin(reps_df)
+                rows.crossJoin(reps_df)
                 # Numpy twin: ``cpsjoin_local.root_path``.
                 .withColumn("path", F.xxhash64("rep", F.lit(seed)))
             )
 
         # Every repetition's root bucket holds every record, so the root
-        # level runs once, on ``pre`` as the one bucket (rep, path) = (-1, 0).
-        # Each row carries its record from here on.
-        largest = pre.count()
-        tagged = pre.select(
-            F.lit(-1).alias("rep"), F.lit(0).cast("long").alias("path"), *_RECORD,
-            F.lit(largest).alias("gsize"),
-        )
-
-        # Bucket sizes and coordinate-value counts are window counts: one
-        # shuffle each, where an aggregate joined back needs two.
-        by_bucket = Window.partitionBy("rep", "path")
-        by_value = Window.partitionBy("rep", "path", "i", "v")
-        local_parts: list[DataFrame] = []
-        to_verify: list[DataFrame] = []  # BRUTEFORCEPOINT pairs with both records
-        below_parts: list[DataFrame] = []  # (a, b) found below the root
-        level = 0
-        while True:
-            expand = per_rep if level == 0 else (lambda rows: rows)
-            # Local rows carry their depth below the root, where the kernel
-            # resumes the tree.
-            depth = F.lit(level).alias("depth")
-            small = tagged.filter((F.col("gsize") <= cut) & (F.col("gsize") >= 2))
-            local_parts.append(expand(small.drop("gsize")).select("*", depth))
-            big = tagged.filter(F.col("gsize") > cut)
-            if largest is None or largest <= cut:
-                break
-            if level >= _MAX_DIST_LEVELS:
-                # Safety valve: ship oversized buckets to the local kernel.
-                local_parts.append(expand(big.drop("gsize")).select("*", depth))
-                break
-
-            # Each record's summed embedded similarity to its bucket, and
+        # runs once, on ``pre`` itself.  The kernel resumes the tree at
+        # depth ``levels``: at the roots, or at the root's children.
+        n = pre.count()
+        root_pairs = None
+        if n <= cut:
+            levels = 0
+            local = per_rep(pre.select(*_RECORD))
+        else:
+            levels = 1
+            # Each record's summed embedded similarity to the input, and
             # ``t`` (its ``mh`` length, as in the local kernel), make the
-            # BRUTEFORCE cut.  The bucket rows with their ``hot`` flag are
-            # read by the next level's action (the survivors) and by the
-            # final plan (BRUTEFORCEPOINT), so they are a checkpoint.
+            # BRUTEFORCE cut; the coordinate-value counts are one window
+            # count, where an aggregate joined back needs two shuffles.
+            # The records with their ``hot`` flag feed both the survivors
+            # and the BRUTEFORCEPOINT pairs, so they are a checkpoint.
             sims = (
-                big.select("rep", "path", "sid", "gsize",
-                           F.posexplode("mh").alias("i", "v"))
-                .withColumn("cnt", F.count("*").over(by_value))
-                .groupBy("rep", "path", "sid", "gsize")
+                pre.select("sid", F.posexplode("mh").alias("i", "v"))
+                .withColumn("cnt", F.count("*").over(Window.partitionBy("i", "v")))
+                .groupBy("sid")
                 .agg(F.sum(F.col("cnt") - 1).alias("simsum"), F.count("*").alias("t"))
             )
-            hot = (
-                F.col("simsum") / (F.col("t") * (F.col("gsize") - 1))
-                > (1.0 - eps) * lam
-            )
+            hot = F.col("simsum") / (F.col("t") * F.lit(n - 1)) > (1.0 - eps) * lam
             flagged = (
-                big.drop("gsize")
-                .join(sims.select("rep", "path", "sid", hot.alias("hot")),
-                      ["rep", "path", "sid"])
+                pre.select(*_RECORD)
+                .join(sims.select("sid", hot.alias("hot")), "sid")
                 .localCheckpoint(eager=False)
             )
-            checkpoints.append(flagged)
-            if level == 0:
-                to_verify.append(_root_pairs(flagged, reps))
-            else:
-                below_parts.append(
-                    flagged.filter("hot").select("rep", "path", F.col("sid").alias("x"))
-                    .join(flagged.select("rep", "path", F.col("sid").alias("y")),
-                          ["rep", "path"])
-                    .filter(F.col("x") != F.col("y"))
-                    .select(F.least("x", "y").alias("a"), F.greatest("x", "y").alias("b"))
-                )
-            survivors = expand(flagged.filter(~F.col("hot")).drop("hot"))
+            root_pairs = _verify_pairs_df(_root_pairs(flagged, reps), lam, delta)
 
-            # Numpy twins of the coordinate choice and the child path: the
-            # split in ``cpsjoin_local._node``.
+            # The survivors split once.  Numpy twins of the coordinate
+            # choice and the child path: the split in ``cpsjoin_local._node``.
             sel = (
                 _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1)))
                 < 1.0 / (lam * F.col("t"))
             )
-            active = (
-                survivors.select(
-                    "rep", "path", *_RECORD, F.size("mh").alias("t"),
-                    F.posexplode("mh").alias("i", "v"),
-                )
+            local = (
+                per_rep(flagged.filter(~F.col("hot")).drop("hot"))
+                .select("rep", "path", *_RECORD, F.size("mh").alias("t"),
+                        F.posexplode("mh").alias("i", "v"))
                 .filter(sel)
                 .select("rep", F.xxhash64("path", "i", "v").alias("path"), *_RECORD)
             )
-            # A local checkpoint keeps later levels from recomputing this one
-            # and keeps the partitioning AQE chose.  The level's one action
-            # materialises it and sizes the largest bucket: a top-1, which
-            # runs one job where a global max adds a shuffle and a second.
-            tagged = active.withColumn(
-                "gsize", F.count("*").over(by_bucket)
-            ).localCheckpoint(eager=False)
-            checkpoints.append(tagged)
-            top = tagged.select("gsize").orderBy(F.desc("gsize")).first()
-            largest = top[0] if top else None
-            level += 1
 
-        # --- local buckets: run the full in-memory recursion per bucket ---
+        # --- every node below: the full in-memory recursion per bucket ---
         def run_bucket(key, pdf):
-            start = (key[1], int(pdf["depth"].iloc[0]))  # (path, depth)
             mh = np.stack(pdf["mh"].to_numpy()).astype(np.int64)
             sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
             tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
             sids = pdf["sid"].to_numpy()
             pairs, st = cpsjoin_local_rep(
                 mh, sketch, tokens, lam,
-                limit=limit, eps=eps, delta=delta, seed=seed, start=start,
+                limit=limit, eps=eps, delta=delta, seed=seed, start=(key[1], levels),
             )
             return _with_counters(sids[pairs[:, 0]], sids[pairs[:, 1]], st)
 
-        out = _map_buckets(reduce(DataFrame.unionByName, local_parts),
-                           ["rep", "path"], run_bucket, _OUT_SCHEMA)
-
-        # --- distributed BRUTEFORCEPOINT pairs: shared verification path ---
-        if below_parts:
-            # A pair found in several buckets is verified once; its ``mult``
-            # (how often it was found) keeps the pre-candidate and candidate
-            # counters duplicate-inclusive, as Table IV counts them.
-            below = (
-                reduce(DataFrame.unionByName, below_parts)
-                .groupBy("a", "b")
-                .agg(F.count("*").alias("mult"))
-            )
-            to_verify.append(
-                below.join(_side(pre, "a"), "a").join(_side(pre, "b"), "b")
-            )
-        if to_verify:
-            out = out.unionByName(
-                _verify_pairs_df(reduce(DataFrame.unionByName, to_verify), lam, delta)
-            )
+        out = _map_buckets(local, ["rep", "path"], run_bucket, _OUT_SCHEMA)
+        if root_pairs is not None:
+            out = out.unionByName(root_pairs)
 
         pairs_df, stats, n_results = _collect_pairs(out)
         return CPSJoinResult(pairs=pairs_df, stats=stats, n_results=n_results,
-                             levels=level)
+                             levels=levels)
     finally:
-        for df in checkpoints:
-            _release_checkpoint(df)
+        if flagged is not None:
+            _release_checkpoint(flagged)
         if own_pre:
             pre.unpersist()
 

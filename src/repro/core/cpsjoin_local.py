@@ -2,7 +2,8 @@
 
 This numpy kernel runs one repetition of the Chosen-Path recursion on a
 bucket of records.  The distributed driver (``core/cpsjoin.py``) calls
-it through its bucket runner once a bucket fits in one task; standalone
+it through its bucket runner on every repetition's root, or, when the
+driver ran the root itself, on each of the root's children; standalone
 it *is* the paper's single-machine algorithm, which the unit tests
 exercise directly.
 
@@ -26,7 +27,7 @@ coordinate ``i`` is sampled at ``path`` when
 child holding the records with ``mh[:, i] == v`` is
 ``xxhash64(path, i, v)``.  ``xxhash64`` below is Spark SQL's function in
 numpy, so the driver's Spark expressions and this kernel draw the same
-tree, and where a node runs (a distributed level or this kernel) does
+tree, and where a node runs (the driver's root step or this kernel) does
 not change what it does.
 
 Counters follow §VI-A4: *pre-candidates* are all pairs considered by the

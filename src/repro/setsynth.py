@@ -174,10 +174,7 @@ def tokens_collection(
             if x is not None:
                 sets.append(x)
     s_bg = int(round(2 * TOKENS_BACKGROUND * d / (1 + TOKENS_BACKGROUND)))
-    while True:
-        x = draw(s_bg)
-        if x is None:
-            break
+    while (x := draw(s_bg)) is not None:
         sets.append(x)
     return dedup_collection(sets)
 

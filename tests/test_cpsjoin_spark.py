@@ -1,11 +1,12 @@
 """End-to-end tests for the distributed CPSJoin dataflow."""
 
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro import datasets, setsynth
-from repro.core.cpsjoin import cpsjoin
+from repro.core.cpsjoin import _map_buckets, cpsjoin
 from repro.core.cpsjoin_local import JoinStats, cpsjoin_local_rep, root_path
 from repro.core.preprocess import preprocess
 from repro.exact import brute_force_join, exact_join_sql, precision, recall
@@ -14,9 +15,9 @@ from repro.setsynth import collection_to_pandas, collection_to_spark
 
 from ._helpers import arrow_batch_rows, pair_set, pair_sha256, run_counted
 
-# BRUTEFORCEPAIRS limit of the DBLP x0.2 joins that need distributed
-# levels: every bucket of at most ``max(limit, local_threshold)`` records
-# runs in the local kernel.
+# BRUTEFORCEPAIRS limit of the DBLP x0.2 joins that run their root
+# distributed: an input of at most ``max(limit, local_threshold)``
+# records runs whole in the local kernel.
 DBLP_LIMIT = 20
 
 # The kernel's union over the repetitions of the DBLP x0.2 join in the
@@ -51,8 +52,9 @@ BELOW_ROOT_PINNED = (
 # it), 158 since.
 TASK_BUDGET = 200
 
-# Jobs of the root-cluster join in the root-BRUTEFORCEPOINT job test.
-ROOT_JOB_BUDGET = 16
+# Jobs of a join whose root runs distributed (the DBLP join at limit 20
+# and the root-cluster join): 11 each at 4 cores, plus one.
+ROOT_JOB_BUDGET = 12
 
 
 def root_cluster_sets():
@@ -118,8 +120,9 @@ class TestCorrectness:
         assert recall(res.pairs, truth) >= 0.9
 
     def test_distributed_levels_preserve_correctness(self, spark, dblp):
-        """Forcing tiny buckets exercises several distributed splitting
-        levels + the distributed BRUTEFORCE step; recall must hold."""
+        """A tiny ``limit`` runs the root distributed (its BRUTEFORCE step
+        and its split) and many deep kernel subtrees below it; recall must
+        hold."""
         sets, df = dblp
         truth = brute_force_join(sets, 0.5)
         res = cpsjoin(
@@ -129,22 +132,6 @@ class TestCorrectness:
         assert res.levels >= 1
         assert precision(res.pairs, truth) == 1.0
         assert recall(res.pairs, truth) >= 0.9
-
-    def test_max_dist_levels_valve(self, spark, dblp, monkeypatch):
-        """With the valve at one level, every bucket still over the local
-        cut after the root goes whole to the local kernel.  That it
-        changes no output is the placement test's job."""
-        monkeypatch.setattr("repro.core.cpsjoin._MAX_DIST_LEVELS", 1)
-        sets, df = dblp
-        truth = brute_force_join(sets, 0.5)
-        res = cpsjoin(
-            spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
-            limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT,
-        )
-        assert res.levels == 1
-        assert precision(res.pairs, truth) == 1.0
-        assert recall(res.pairs, truth) >= 0.9
-        res.pairs.unpersist()
 
     def test_no_similar_pairs_yields_empty(self, spark):
         sets = datasets.generate("SPOTIFY", seed=0, scale=0.15)
@@ -208,12 +195,21 @@ class TestStructure:
 
     @pytest.mark.parametrize("local_threshold", [0, -3])
     def test_local_threshold_below_one_raises(self, spark, local_threshold):
-        """A singleton bucket would count as big, and the BRUTEFORCE cut
+        """A one-record root would count as big, and the BRUTEFORCE cut
         would divide by ``|bucket| - 1 = 0`` in an executor."""
         df = collection_to_spark(spark, root_cluster_sets())
         with pytest.raises(ValueError, match="local_threshold"):
             cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
                     local_threshold=local_threshold)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_below_one_raises(self, spark, reps):
+        """No repetition finds no pair, yet a distributed root would verify
+        and emit its BRUTEFORCEPOINT pairs with ``mult = 0``."""
+        df = collection_to_spark(spark, root_cluster_sets())
+        with pytest.raises(ValueError, match="reps"):
+            cpsjoin(spark, df, 0.5, t=64, ell=8, reps=reps, seed=1,
+                    limit=50, local_threshold=50)
 
     def test_shared_preprocessing(self, spark, dblp):
         from repro.core.preprocess import preprocess
@@ -244,14 +240,14 @@ class TestPreprocessSchema:
 
 class TestSameOutput:
     def test_pinned_output_with_distributed_levels(self, spark, dblp):
-        """Pair set, counters and ``n_results`` of the DBLP join that splits
-        over four driver levels: the kernel union's pins."""
+        """Pair set, counters and ``n_results`` of the DBLP join whose root
+        runs distributed (limit 20): the kernel union's pins."""
         _, df = dblp
         res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=10, seed=2,
                       limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT)
         pairs = pair_set(res)
         res.pairs.unpersist()
-        assert res.levels == 4
+        assert res.levels == 1
         assert pair_sha256(pairs) == PINNED_SHA256
         assert res.stats.as_tuple() == PINNED_STATS
         assert res.n_results == len(pairs) == 27
@@ -264,7 +260,7 @@ class TestSameOutput:
                           limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT)
         pairs = pair_set(res)
         res.pairs.unpersist()
-        assert res.levels == 4
+        assert res.levels == 1
         assert pair_sha256(pairs) == PINNED_SHA256
         assert res.stats.as_tuple() == PINNED_STATS
         assert res.n_results == len(pairs) == 27
@@ -288,9 +284,10 @@ class TestSameOutput:
     def test_pinned_bruteforcepoint_below_root(self, spark):
         """BRUTEFORCEPOINT removes records below the root only (the 30
         cluster records from 281 level-1 bucket rows, none at levels 0 and
-        2, counted when the pin was recorded).  Their pairs, found in
-        several buckets and repetitions, are verified once each and counted
-        as often as they were found."""
+        2, counted when the pin was recorded by a driver that split those
+        levels itself).  The kernel now removes them in the root's child
+        buckets; their pairs, found in several buckets and repetitions,
+        count as often as they were found."""
         sets = below_root_sets()
         df = collection_to_spark(spark, sets)
         res = cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
@@ -298,7 +295,7 @@ class TestSameOutput:
         pairs = pair_set(res)
         res.pairs.unpersist()
         sha, stats, n_results = BELOW_ROOT_PINNED
-        assert len(sets) == 156 and res.levels == 3
+        assert len(sets) == 156 and res.levels == 1
         assert pair_sha256(pairs) == sha
         assert res.stats.as_tuple() == stats
         assert res.n_results == len(pairs) == n_results
@@ -355,13 +352,33 @@ class TestSameOutput:
         assert res.n_results == len(want)
 
 
-class TestPlacementInvariance:
-    """The driver's levels and the local kernel walk one Chosen-Path tree.
+class TestMapBuckets:
+    def test_buckets_whole_once_and_never_one_row(self, spark):
+        """``fn`` sees each bucket of at least 2 rows whole and once, also
+        when it spans 7-row Arrow batches, and never a one-row bucket,
+        which holds no pair."""
+        rows = [(k, 100 * k) for k in range(10)]  # one-row buckets
+        rows += [(10, x) for x in range(20)] + [(11, x) for x in range(2)]
+        rows += [(12, 1200)]
+        df = spark.createDataFrame(rows, "k long, x long")
 
-    ``local_threshold`` and the ``_MAX_DIST_LEVELS`` valve decide only
-    where each tree node runs, so every placement gives the pair set and
-    all three counters of ``cpsjoin_local_rep`` run on the whole input at
-    every repetition's root path.
+        def fn(key, pdf):
+            return pd.DataFrame({"k": [key[0]], "xs": [pdf["x"].tolist()]})
+
+        with arrow_batch_rows(spark, 7):
+            got = _map_buckets(df, ["k"], fn, "k long, xs array<long>").collect()
+        assert sorted((r["k"], sorted(r["xs"])) for r in got) == [
+            (10, list(range(20))), (11, [0, 1]),
+        ]
+
+
+class TestPlacementInvariance:
+    """The driver's root and the local kernel walk one Chosen-Path tree.
+
+    ``local_threshold`` decides only where the root runs, so every
+    placement gives the pair set and all three counters of
+    ``cpsjoin_local_rep`` run on the whole input at every repetition's
+    root path.
     """
 
     # input, limit, reps, seed
@@ -388,7 +405,7 @@ class TestPlacementInvariance:
         return want, stats.as_tuple()
 
     @pytest.mark.parametrize("case", CASES)
-    def test_placement_changes_no_output(self, spark, monkeypatch, case):
+    def test_placement_changes_no_output(self, spark, case):
         make, limit, reps, seed = self.CASES[case]
         sets = make()
         n = len(sets)
@@ -408,16 +425,13 @@ class TestPlacementInvariance:
             assert res.n_results == len(got[0])
             return res.levels, got
 
-        # Below ``limit`` as well: such a bucket is brute-forced, so it must
-        # not get a distributed level.
+        # Below ``limit`` as well: a root of at most ``limit`` records is
+        # brute-forced, so it must not run distributed.
         runs = {lt: join(lt) for lt in (limit // 2, limit, 2 * limit, n)}
         with arrow_batch_rows(spark, 7):
             runs["arrow-7"] = join(limit)
-        monkeypatch.setattr("repro.core.cpsjoin._MAX_DIST_LEVELS", 1)
-        runs["valve-1"] = join(limit)
         pre.unpersist()
-        assert runs[limit][0] >= 1 and runs[n][0] == 0
-        assert runs["valve-1"][0] == 1
+        assert runs[limit][0] == 1 and runs[n][0] == 0
         for name, (_, got) in runs.items():
             assert got == want, name
 
@@ -425,7 +439,7 @@ class TestPlacementInvariance:
 class TestSparkResources:
     def test_no_persisted_rdd_outlives_the_call(self, spark, dblp):
         """Each call caches only ``res.pairs``; freeing it restores the
-        session's persisted-RDD count, also after distributed levels."""
+        session's persisted-RDD count, also after a distributed root."""
         _, df = dblp
         jsc = spark.sparkContext._jsc
         for seed in range(3):
@@ -437,12 +451,13 @@ class TestSparkResources:
             assert len(jsc.getPersistentRDDs()) == before
 
     def test_jobs_per_level(self, spark, dblp):
-        """The 4-level DBLP join at limit 20 runs at most ``13 + 15 * levels``
-        Spark jobs and under 200 tasks (recorded at 4 cores for the 4-level
-        join at ``local_threshold=40`` below limit 250: 81 jobs and 287
-        tasks when each repetition ran the root level, the BRUTEFORCE
-        similarities were evaluated twice per level and each bucket had its
-        own Python call, 68 and 145 since; 40 and 72 at limit 20)."""
+        """The DBLP join at limit 20 runs at most ROOT_JOB_BUDGET Spark jobs
+        and under 200 tasks (recorded at 4 cores for the 4-level join at
+        ``local_threshold=40`` below limit 250: 81 jobs and 287 tasks when
+        each repetition ran the root level, the BRUTEFORCE similarities
+        were evaluated twice per level and each bucket had its own Python
+        call, 68 and 145 since; 40 and 72 at limit 20 while the driver
+        split 4 levels, 11 and 33 since only its root runs distributed)."""
         _, df = dblp
         res, jobs, tasks = run_counted(
             spark, "cpsjoin-jobs-per-level",
@@ -450,8 +465,8 @@ class TestSparkResources:
                             limit=DBLP_LIMIT, local_threshold=DBLP_LIMIT),
         )
         res.pairs.unpersist()
-        assert res.levels == 4
-        assert jobs <= 13 + 15 * res.levels
+        assert res.levels == 1
+        assert jobs <= ROOT_JOB_BUDGET
         assert tasks < TASK_BUDGET
 
     def test_jobs_root_bruteforcepoint(self, spark):
@@ -459,7 +474,8 @@ class TestSparkResources:
         runs at most ROOT_JOB_BUDGET Spark jobs (recorded at 4 cores: 25
         when the level rows carried only ``sid`` and were joined with the
         embedding again for the root's similarities, its survivors, the
-        local rows and both sides of every pair; 14 since)."""
+        local rows and both sides of every pair; 14 while the child buckets
+        were sized before they went to the kernel; 11 since)."""
         df = collection_to_spark(spark, root_cluster_sets())
         res, jobs, _ = run_counted(
             spark, "cpsjoin-jobs-root-bruteforcepoint",

@@ -61,7 +61,7 @@ def _outputs(join, dfs):
 @pytest.mark.parametrize("local_threshold", [4000, 40])
 def test_cpsjoin(spark, collections, local_threshold):
     """At the default ``limit`` and at ``limit = local_threshold = 40``,
-    where the join runs distributed levels."""
+    where the join runs its root distributed."""
     _, dfs = collections
     limit = min(250, local_threshold)
     clean, dirty = _outputs(
