@@ -110,6 +110,10 @@ def minhash_lsh_join(
     the call makes itself is released before it returns, so a call leaves
     only ``res.pairs`` persisted.
     """
+    if not 0 < lam < 1:
+        raise ValueError(f"lam must be in (0,1), got {lam}")
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
     own_pre = pre is None
     if k is None:
         # Probe embedding for k selection; final embedding sized to fit.

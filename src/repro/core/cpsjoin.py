@@ -1,50 +1,41 @@
 """Distributed CPSJoin — the paper's contribution as a Spark dataflow.
 
-All repetitions run in one dataflow over rows ``(rep, path, sid, tokens,
-size, mh, sketch)``: each row carries its record, read once from the
-embedding ``pre``, and ``(rep, path)`` names its node in repetition
-``rep``'s Chosen-Path tree (the root path of repetition ``r`` is
-``xxhash64(r, seed)``).  Every repetition's root holds the whole input,
-so the root runs once, on ``pre`` itself, and its size is ``pre``'s row
+Each repetition's Chosen-Path tree is walked by the exact in-memory
+recursion of Algorithms 1+2 (``core.cpsjoin_local``), which draws the
+whole tree: repetition ``rep``'s root is ``root_path(rep, seed)`` and
+every split below it is a hash of the node's path, so the tree is a
+function of ``(seed, rep, path)`` alone.  Every repetition's root holds
+the whole input, so the driver runs at most the root's BRUTEFORCE step,
+once for all repetitions, on ``pre`` itself; its size is ``pre``'s row
 count:
 
 * an input of at most ``max(limit, local_threshold)`` records is copied
-  to every repetition's root path and goes to ``_map_buckets`` (many
-  buckets per Python call), where the exact in-memory recursion of
-  Algorithms 1+2 (``core.cpsjoin_local``) runs each repetition whole;
-* a larger input runs the root distributed, in one level for all
-  repetitions:
+  once per repetition and goes to ``_map_buckets`` (many buckets per
+  Python call) keyed on ``rep``, where the kernel runs each repetition
+  whole from its root;
+* a larger input runs the root's BRUTEFORCE step distributed:
+  MinHash-coordinate value counts (one window over ``(i, v)`` of
+  ``posexplode(mh)``) give every record's average embedded similarity to
+  the input; records above ``(1 - eps) * lam`` are flagged ``hot``,
+  become BRUTEFORCEPOINT candidate pairs against every record and leave
+  the recursion.  The survivors are copied once per repetition and go to
+  ``_map_buckets`` keyed on ``rep``, where the kernel performs the root's
+  split (``cpsjoin_local._split``) and every node below it.
 
-  1. the BRUTEFORCE step: MinHash-coordinate value counts (one window
-     over ``(i, v)`` of ``posexplode(mh)``) give every record's average
-     embedded similarity to the input; records above ``(1 - eps) * lam``
-     are flagged ``hot``, become BRUTEFORCEPOINT candidate pairs against
-     every record and leave the recursion;
-  2. one split: the survivors are copied to every repetition's root
-     path; coordinate ``i`` is chosen for a path iff
-     ``hash(path, i) < 1/(lam * t)`` (expected ``1/lam`` coordinates per
-     node, the §V-A3 heuristic) and the child bucket id is
-     ``xxhash64(path, i, mh_i(x))`` — sets sharing the sampled MinHash
-     value meet again one level down, which happens with probability
-     ``J(x, y)`` per sampled coordinate.  ``t`` is the embedding's length;
-  3. every child bucket, whatever its size, goes to ``_map_buckets``,
-     where the kernel resumes the tree at the child's path and depth 1.
-
-The kernel computes the same three hashes in numpy (its ``xxhash64`` is
-Spark's, bit for bit), so the tree of a repetition is a function of
-``(seed, rep, path)`` alone.  ``local_threshold`` decides only where the
-root runs: the pair set and all three counters are those of the kernel
-run on the whole input at every repetition's root.
+``local_threshold`` decides only where the root's BRUTEFORCE step runs:
+the pair set and all three counters are those of the kernel run on the
+whole input at every repetition's root.
 
 The root's BRUTEFORCEPOINT pairs are a cross join of the hot records
 with all records, each pair emitted once with both records and with
 ``mult`` ``reps`` per finding (twice when both records are hot).  They
 skip the dedup: a removed record leaves the recursion, so no other
 bucket finds them.  The root's records with their ``hot`` flags are a
-lazy local checkpoint, read by both routes, computed once and released
-before ``cpsjoin`` returns.
+lazy local checkpoint, read by those pairs and by the survivors,
+computed once and released before ``cpsjoin`` returns.
 
-Candidate pairs from both routes run the shared pipeline: size check,
+Candidate pairs from the kernel and from the root's BRUTEFORCEPOINT step
+run the shared pipeline: size check,
 1-bit sketch check (false-negative rate ``delta``), exact Jaccard
 verification, global dedup.  Counters follow Table IV semantics
 (candidates counted before dedup).
@@ -69,7 +60,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 from pyspark.sql.window import Window
 
-from .cpsjoin_local import _HASH_MOD, JoinStats, _check_pairs, cpsjoin_local_rep
+from .cpsjoin_local import JoinStats, _check_pairs, _node, _run_rep, _split, root_path
 from .preprocess import preprocess
 
 __all__ = ["CPSJoinResult", "cpsjoin"]
@@ -85,14 +76,6 @@ _OUT_SCHEMA = T.StructType(
     [T.StructField("a", T.LongType(), False), T.StructField("b", T.LongType(), False)]
     + [T.StructField(c, T.LongType(), False) for c in _COUNTERS]
 )
-
-
-def _unit(col):
-    """Map a 64-bit hash column to a uniform-ish value in [0, 1).
-
-    Numpy twin: ``cpsjoin_local._unit``.
-    """
-    return F.pmod(col, F.lit(_HASH_MOD)) / F.lit(float(_HASH_MOD))
 
 
 def _with_counters(a, b, stats: JoinStats) -> pd.DataFrame:
@@ -206,7 +189,7 @@ class CPSJoinResult:
     pairs: DataFrame  # (sid_a, sid_b), sid_a < sid_b, distinct
     stats: JoinStats
     n_results: int
-    levels: int  # distributed levels executed: 1 if the root ran distributed, else 0
+    levels: int  # 1 if the root's BRUTEFORCE step ran distributed, else 0
 
 
 def cpsjoin(
@@ -232,14 +215,18 @@ def cpsjoin(
     size only an embedding the call makes itself; the join reads ``t``
     off the embedding it uses.
 
-    An input of at most ``max(limit, local_threshold)`` records runs whole
-    in the local kernel, one kernel call per repetition; a larger one runs the
-    tree's root distributed and every node below it in the kernel.  Both
-    walk the same Chosen-Path tree, so ``local_threshold`` decides only
-    where the root runs, not the pairs or the counters.
+    Every repetition runs in the local kernel, one kernel call each.  An
+    input of more than ``max(limit, local_threshold)`` records first runs
+    the root's BRUTEFORCE step distributed, once for all repetitions, and
+    the kernel starts at the root's split; ``local_threshold`` decides
+    only where that step runs, not the pairs or the counters.
     """
     if not 0 < lam < 1:
         raise ValueError(f"lam must be in (0,1), got {lam}")
+    if delta <= 0:
+        # The sketch cutoff takes the normal quantile at ``1 - delta``;
+        # ``delta >= 1`` turns the filter off.
+        raise ValueError(f"delta must be > 0, got {delta}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if local_threshold < 1:
@@ -255,26 +242,14 @@ def cpsjoin(
 
     flagged = None  # the root's records with their ``hot`` flags, a checkpoint
     try:
-        reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
-
-        def per_rep(rows: DataFrame) -> DataFrame:
-            """The root bucket's ``rows``, once per repetition under its root path."""
-            return (
-                rows.crossJoin(reps_df)
-                # Numpy twin: ``cpsjoin_local.root_path``.
-                .withColumn("path", F.xxhash64("rep", F.lit(seed)))
-            )
-
-        # Every repetition's root bucket holds every record, so the root
-        # runs once, on ``pre`` itself.  The kernel resumes the tree at
-        # depth ``levels``: at the roots, or at the root's children.
+        # Every repetition's root bucket holds every record, so the root's
+        # BRUTEFORCE step runs once, on ``pre`` itself.
         n = pre.count()
         root_pairs = None
         if n <= cut:
-            levels = 0
-            local = per_rep(pre.select(*_RECORD))
+            levels, entry, rows = 0, _node, pre.select(*_RECORD)
         else:
-            levels = 1
+            levels, entry = 1, _split
             # Each record's summed embedded similarity to the input, and
             # ``t`` (its ``mh`` length, as in the local kernel), make the
             # BRUTEFORCE cut; the coordinate-value counts are one window
@@ -294,34 +269,22 @@ def cpsjoin(
                 .localCheckpoint(eager=False)
             )
             root_pairs = _verify_pairs_df(_root_pairs(flagged, reps), lam, delta)
+            rows = flagged.filter(~F.col("hot")).drop("hot")
 
-            # The survivors split once.  Numpy twins of the coordinate
-            # choice and the child path: the split in ``cpsjoin_local._node``.
-            sel = (
-                _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1)))
-                < 1.0 / (lam * F.col("t"))
-            )
-            local = (
-                per_rep(flagged.filter(~F.col("hot")).drop("hot"))
-                .select("rep", "path", *_RECORD, F.size("mh").alias("t"),
-                        F.posexplode("mh").alias("i", "v"))
-                .filter(sel)
-                .select("rep", F.xxhash64("path", "i", "v").alias("path"), *_RECORD)
-            )
-
-        # --- every node below: the full in-memory recursion per bucket ---
+        # --- each repetition's root, from ``entry`` on, in the local kernel ---
         def run_bucket(key, pdf):
             mh = np.stack(pdf["mh"].to_numpy()).astype(np.int64)
             sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
             tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
             sids = pdf["sid"].to_numpy()
-            pairs, st = cpsjoin_local_rep(
-                mh, sketch, tokens, lam,
-                limit=limit, eps=eps, delta=delta, seed=seed, start=(key[1], levels),
+            pairs, st = _run_rep(
+                entry, mh, sketch, tokens, lam, limit=limit, eps=eps, delta=delta,
+                seed=seed, start=(root_path(key[0], seed), 0),
             )
             return _with_counters(sids[pairs[:, 0]], sids[pairs[:, 1]], st)
 
-        out = _map_buckets(local, ["rep", "path"], run_bucket, _OUT_SCHEMA)
+        reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
+        out = _map_buckets(rows.crossJoin(reps_df), ["rep"], run_bucket, _OUT_SCHEMA)
         if root_pairs is not None:
             out = out.unionByName(root_pairs)
 

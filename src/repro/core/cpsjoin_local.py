@@ -2,12 +2,12 @@
 
 This numpy kernel runs one repetition of the Chosen-Path recursion on a
 bucket of records.  The distributed driver (``core/cpsjoin.py``) calls
-it through its bucket runner on every repetition's root, or, when the
-driver ran the root itself, on each of the root's children; standalone
-it *is* the paper's single-machine algorithm, which the unit tests
-exercise directly.
+it through its bucket runner once per repetition: from the root, or,
+when the driver ran the root's BRUTEFORCE step itself, from the root's
+split on the records that step kept; standalone it *is* the paper's
+single-machine algorithm, which the unit tests exercise directly.
 
-Recursion per node (set of records ``S``):
+Recursion per node (set of records ``S``), ``_node``:
 
 1. BRUTEFORCE (Alg. 2):
    - ``|S| <= limit``: compare all pairs (sketch filter then exact
@@ -15,20 +15,19 @@ Recursion per node (set of records ``S``):
    - else remove every ``x`` whose average embedded similarity to ``S``
      exceeds ``(1 - eps) * lam`` and compare it against all of ``S``
      (BRUTEFORCEPOINT).  Done in one pass per node, as in §V-A4.
-2. Split (Alg. 1, with the §V-A3 heuristic): sample each MinHash
-   coordinate ``i`` with probability ``1/(lam * t)``; for each sampled
-   coordinate partition the survivors by their value ``mh[:, i]`` and
-   recurse on every part of size >= 2.
+2. Split (Alg. 1, with the §V-A3 heuristic), ``_split``: sample each
+   MinHash coordinate ``i`` with probability ``1/(lam * t)``; for each
+   sampled coordinate partition the survivors by their value
+   ``mh[:, i]`` and recurse on every part of size >= 2.
 
-The tree is the distributed driver's, hash for hash.  A node is named by
-its 64-bit ``path``: repetition ``r``'s root is ``xxhash64(r, seed)``,
-coordinate ``i`` is sampled at ``path`` when
+The tree is drawn here alone.  A node is named by its 64-bit ``path``:
+repetition ``r``'s root is ``xxhash64(r, seed)``, coordinate ``i`` is
+sampled at ``path`` when
 ``pmod(xxhash64(path, i, seed, 1), 2^31) / 2^31 < 1/(lam * t)``, and the
 child holding the records with ``mh[:, i] == v`` is
 ``xxhash64(path, i, v)``.  ``xxhash64`` below is Spark SQL's function in
-numpy, so the driver's Spark expressions and this kernel draw the same
-tree, and where a node runs (the driver's root step or this kernel) does
-not change what it does.
+numpy, bit for bit, and stays so: the tests' pinned pair sets and
+counters were recorded on trees drawn with Spark's expressions.
 
 Counters follow §VI-A4: *pre-candidates* are all pairs considered by the
 brute-force subroutines, *candidates* are those passing the size check
@@ -128,7 +127,7 @@ def xxhash64(*cols) -> np.ndarray:
 
 
 def root_path(rep: int, seed: int) -> int:
-    """Repetition ``rep``'s root path: the driver's ``xxhash64(rep, lit(seed))``."""
+    """Repetition ``rep``'s root path: Spark's ``xxhash64(rep, lit(seed))``."""
     return int(xxhash64(np.int32(rep), seed))
 
 
@@ -136,7 +135,7 @@ _HASH_MOD = 1 << 31
 
 
 def _unit(h: np.ndarray) -> np.ndarray:
-    """Map int64 hashes to [0, 1) as the driver's ``pmod(h, 2^31) / 2^31``."""
+    """Map int64 hashes to [0, 1) as Spark's ``pmod(h, 2^31) / 2^31``."""
     return (h % _HASH_MOD) / float(_HASH_MOD)
 
 
@@ -197,7 +196,10 @@ def _brute_force_pairs(ctx: _Ctx, idx: np.ndarray) -> None:
 
 
 def _node(ctx: _Ctx, idx: np.ndarray, path: int, depth: int) -> None:
-    """Tree node ``path``, ``depth`` levels below the root, on record indices ``idx``."""
+    """Tree node ``path``, ``depth`` levels below the root, on record indices ``idx``.
+
+    The BRUTEFORCE step (Alg. 2), then ``_split`` on the records it keeps.
+    """
     g = len(idx)
     if g < 2:
         return
@@ -214,25 +216,30 @@ def _node(ctx: _Ctx, idx: np.ndarray, path: int, depth: int) -> None:
     avg = sim_sum / (ctx.t * (g - 1))
     removed = avg > (1.0 - ctx.eps) * ctx.lam
     if removed.any():
-        rem_idx = idx[removed]
         # BRUTEFORCEPOINT: each removed x against the full current S
         # (one pass; pairs of two removed records are considered twice,
         # matching the duplicate-counting of the paper's implementation,
         # but reported once via the a<b canonical ordering + caller dedup).
-        for x in rem_idx.tolist():
+        for x in idx[removed].tolist():
             others = idx[idx != x]
             _check(ctx, np.full(len(others), x, dtype=np.int64), others)
         idx = idx[~removed]
-        sub = sub[~removed]
-        if len(idx) < 2:
-            return
-    # Splitting step: each coordinate kept with probability 1/(lam*t),
-    # decided by the hash of (path, i), as the driver decides it.
+    _split(ctx, idx, path, depth)
+
+
+def _split(ctx: _Ctx, idx: np.ndarray, path: int, depth: int) -> None:
+    """The split (Alg. 1) of node ``path`` on the records ``idx`` its BRUTEFORCE step kept.
+
+    Each coordinate is kept with probability ``1/(lam * t)``, decided by
+    the hash of ``(path, i)``; only the kept columns of ``ctx.mh`` are read.
+    """
+    if len(idx) < 2:
+        return
     path64 = np.int64(path)
     h = xxhash64(path64, ctx.coords, ctx.seed, 1)
     sel = np.flatnonzero(_unit(h) < 1.0 / (ctx.lam * ctx.t))
     for i in sel.tolist():
-        col = sub[:, i]
+        col = ctx.mh[idx, i]
         order = np.argsort(col, kind="stable")
         col_sorted = col[order]
         cuts = np.flatnonzero(np.diff(col_sorted)) + 1
@@ -240,6 +247,23 @@ def _node(ctx: _Ctx, idx: np.ndarray, path: int, depth: int) -> None:
         for child, part in zip(children, np.split(order, cuts)):
             if len(part) >= 2:
                 _node(ctx, idx[part], child, depth + 1)
+
+
+def _run_rep(step, mh, sketches, tokens, lam, *, limit, eps, delta, seed, start):
+    """One repetition on an in-memory bucket, entered at ``step`` of node ``start``.
+
+    ``step`` is ``_node`` (the node's BRUTEFORCE step, then its split) or
+    ``_split`` (the records its BRUTEFORCE step kept, when that step ran
+    elsewhere); ``start = (path, depth)``.  Returns ``cpsjoin_local_rep``'s
+    ``(pairs, stats)``.
+    """
+    ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit, seed)
+    step(ctx, np.arange(len(ctx.tokens), dtype=np.int64), *start)
+    if ctx.pairs:
+        pairs = np.unique(np.concatenate(ctx.pairs), axis=0)
+    else:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    return pairs, ctx.stats
 
 
 def cpsjoin_local_rep(
@@ -264,14 +288,10 @@ def cpsjoin_local_rep(
     *deduplicated* verified local index pairs (a < b) and ``stats``
     counts raw pipeline traffic (pre-dedup, Table IV semantics).
     """
-    path, depth = start if start is not None else (root_path(0, seed), 0)
-    ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit, seed)
-    _node(ctx, np.arange(len(tokens), dtype=np.int64), path, depth)
-    if ctx.pairs:
-        pairs = np.unique(np.concatenate(ctx.pairs), axis=0)
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    return pairs, ctx.stats
+    if start is None:
+        start = (root_path(0, seed), 0)
+    return _run_rep(_node, mh, sketches, tokens, lam, limit=limit, eps=eps,
+                    delta=delta, seed=seed, start=start)
 
 
 def brute_force_pairs_arrays(

@@ -46,10 +46,13 @@ def preprocess(
         hasher = MinHasher(t=t, ell=ell, seed=seed)
         for pdf in batches:
             tokens = [np.unique(np.asarray(x, dtype=np.int64)) for x in pdf["tokens"]]
+            sizes = np.array([len(x) for x in tokens], dtype=np.int32)
+            if not sizes.all():
+                raise ValueError(f"empty set at sid {pdf['sid'].iloc[sizes.argmin()]}")
             mh, sketch = hasher.embed_many(tokens)
             out = pdf[["sid"]].copy()
             out["tokens"] = [x.astype(np.int32) for x in tokens]
-            out["size"] = [len(x) for x in tokens]
+            out["size"] = sizes
             out["mh"] = list(mh)
             out["sketch"] = list(sketch.view(np.int64))
             yield out

@@ -1,11 +1,32 @@
-"""Helpers shared by the Spark join tests."""
+"""Helpers shared by the join tests."""
 import hashlib
 from contextlib import contextmanager
 
 import duckdb
+import numpy as np
 
+from repro import setsynth
 from repro.exact import exact_join_sql
 from repro.setsynth import collection_to_pandas
+
+
+def root_cluster_sets():
+    """A 60-set near-duplicate cluster and 20 Zipf sets with planted pairs.
+
+    Members share 21-23 of the base's 24 tokens, so most of them pass the
+    BRUTEFORCE cut of the 86-set root bucket and BRUTEFORCEPOINT removes
+    them there.
+    """
+    rng = np.random.default_rng(7)
+    d = 2000
+    base = np.sort(rng.choice(d, size=24, replace=False))
+    cluster = [base] + [
+        setsynth.plant_pair(rng, base, d, float(rng.uniform(0.75, 0.95)))
+        for _ in range(59)
+    ]
+    return setsynth.dedup_collection(
+        setsynth.zipf_collection(20, 8, d, seed=7, planted_per_level=1) + cluster
+    )
 
 
 def pair_set(res) -> set[tuple[int, int]]:

@@ -7,6 +7,8 @@ from repro.core.cpsjoin_local import (
     _MAX_DEPTH,
     JoinStats,
     _check_pairs,
+    _run_rep,
+    _split,
     brute_force_pairs_arrays,
     cpsjoin_local_rep,
     root_path,
@@ -14,7 +16,7 @@ from repro.core.cpsjoin_local import (
 from repro.core.minhash import MinHasher
 from repro.exact import brute_force_join
 
-from ._helpers import oracle_pairs
+from ._helpers import oracle_pairs, root_cluster_sets
 
 SMALL = ["DBLP", "UNIFORM005", "NETFLIX", "KOSARAK", "ENRON", "TOKENS10K"]
 
@@ -139,6 +141,51 @@ class TestDeterminism:
         _, st = cpsjoin_local_rep(mh, sk, sets, 0.5, limit=20, seed=3,
                                   start=(root_path(0, 3), _MAX_DEPTH))
         assert st.pre_candidates == n * (n - 1) // 2
+
+
+class TestSplitEntry:
+    """The distributed driver runs the root's BRUTEFORCE step once for all
+    repetitions and enters the kernel at ``_split`` on the survivors; the
+    two parts must add up to the kernel run from the root."""
+
+    @pytest.mark.parametrize("make,limit", [
+        (root_cluster_sets, 50),
+        (lambda: datasets.generate("DBLP", seed=0, scale=0.2), 20),
+    ], ids=["root_cluster", "dblp"])
+    def test_root_bruteforce_plus_split_equals_root(self, make, limit):
+        lam, eps, delta, seed = 0.5, 0.1, 0.05, 1
+        sets = [np.asarray(x, dtype=np.int64) for x in make()]
+        mh, sk = _embed(sets)
+        n, t = mh.shape
+        assert n > limit
+        sizes = np.array([len(x) for x in sets])
+
+        # The root's hot records: average embedded similarity to the rest.
+        simsum = (mh[:, None, :] == mh[None, :, :]).sum(axis=(1, 2)) - t
+        hot = simsum / (t * (n - 1)) > (1.0 - eps) * lam
+        # BRUTEFORCEPOINT: each hot record against the root, the same in
+        # every repetition.
+        point, point_stats = set(), JoinStats()
+        for x in np.flatnonzero(hot).tolist():
+            others = np.delete(np.arange(n), x)
+            cand, hit = _check_pairs(sets, sizes, sk, np.full(n - 1, x), others,
+                                     lam, delta)
+            point |= {(min(x, y), max(x, y)) for y in others[hit].tolist()}
+            point_stats.merge(JoinStats(n - 1, int(cand.sum()), int(hit.sum())))
+        if make is root_cluster_sets:
+            assert hot.sum() > 1 and point, "BRUTEFORCEPOINT must run at the root"
+
+        surv = np.flatnonzero(~hot)
+        kw = dict(limit=limit, eps=eps, delta=delta, seed=seed)
+        for rep in range(10):
+            start = (root_path(rep, seed), 0)
+            want, want_stats = cpsjoin_local_rep(mh, sk, sets, lam, start=start, **kw)
+            pairs, st = _run_rep(_split, mh[surv], sk[surv], [sets[i] for i in surv],
+                                 lam, start=start, **kw)
+            got = point | {(int(surv[a]), int(surv[b])) for a, b in pairs.tolist()}
+            assert got == {tuple(p) for p in want.tolist()}, rep
+            assert JoinStats(*point_stats.as_tuple()).merge(st).as_tuple() == \
+                want_stats.as_tuple(), rep
 
 
 class TestEdgeCases:

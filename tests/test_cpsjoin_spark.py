@@ -13,7 +13,7 @@ from repro.exact import brute_force_join, exact_join_sql, precision, recall
 from repro.oracle import assert_equivalent
 from repro.setsynth import collection_to_pandas, collection_to_spark
 
-from ._helpers import arrow_batch_rows, pair_set, pair_sha256, run_counted
+from ._helpers import arrow_batch_rows, pair_set, pair_sha256, root_cluster_sets, run_counted
 
 # BRUTEFORCEPAIRS limit of the DBLP x0.2 joins that run their root
 # distributed: an input of at most ``max(limit, local_threshold)``
@@ -55,25 +55,6 @@ TASK_BUDGET = 200
 # Jobs of a join whose root runs distributed (the DBLP join at limit 20
 # and the root-cluster join): 11 each at 4 cores, plus one.
 ROOT_JOB_BUDGET = 12
-
-
-def root_cluster_sets():
-    """A 60-set near-duplicate cluster and 20 Zipf sets with planted pairs.
-
-    Members share 21-23 of the base's 24 tokens, so most of them pass the
-    BRUTEFORCE cut of the 86-set root bucket and BRUTEFORCEPOINT removes
-    them there.
-    """
-    rng = np.random.default_rng(7)
-    d = 2000
-    base = np.sort(rng.choice(d, size=24, replace=False))
-    cluster = [base] + [
-        setsynth.plant_pair(rng, base, d, float(rng.uniform(0.75, 0.95)))
-        for _ in range(59)
-    ]
-    return setsynth.dedup_collection(
-        setsynth.zipf_collection(20, 8, d, seed=7, planted_per_level=1) + cluster
-    )
 
 
 def below_root_sets():
@@ -120,9 +101,8 @@ class TestCorrectness:
         assert recall(res.pairs, truth) >= 0.9
 
     def test_distributed_levels_preserve_correctness(self, spark, dblp):
-        """A tiny ``limit`` runs the root distributed (its BRUTEFORCE step
-        and its split) and many deep kernel subtrees below it; recall must
-        hold."""
+        """A tiny ``limit`` runs the root's BRUTEFORCE step distributed and
+        many deep kernel subtrees below it; recall must hold."""
         sets, df = dblp
         truth = brute_force_join(sets, 0.5)
         res = cpsjoin(
@@ -201,6 +181,15 @@ class TestStructure:
         with pytest.raises(ValueError, match="local_threshold"):
             cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1,
                     local_threshold=local_threshold)
+
+    @pytest.mark.parametrize("delta", [0, -0.5])
+    def test_delta_not_positive_raises(self, spark, delta):
+        """The sketch cutoff takes the normal quantile at ``1 - delta``,
+        which a Python worker would fail on after the root's jobs ran."""
+        df = collection_to_spark(spark, root_cluster_sets())
+        with pytest.raises(ValueError, match="delta"):
+            cpsjoin(spark, df, 0.5, t=64, ell=8, reps=3, seed=1, delta=delta,
+                    limit=50, local_threshold=50)
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_reps_below_one_raises(self, spark, reps):
@@ -373,10 +362,10 @@ class TestMapBuckets:
 
 
 class TestPlacementInvariance:
-    """The driver's root and the local kernel walk one Chosen-Path tree.
+    """The driver's root step and the local kernel walk one Chosen-Path tree.
 
-    ``local_threshold`` decides only where the root runs, so every
-    placement gives the pair set and all three counters of
+    ``local_threshold`` decides only where the root's BRUTEFORCE step
+    runs, so every placement gives the pair set and all three counters of
     ``cpsjoin_local_rep`` run on the whole input at every repetition's
     root path.
     """

@@ -9,6 +9,7 @@ would drift from set semantics.
 """
 import numpy as np
 import pytest
+from pyspark.errors import PythonException
 
 from repro import datasets
 from repro.baselines.allpairs import allpairs
@@ -18,7 +19,9 @@ from repro.exact import exact_join_sql
 from repro.oracle import assert_equivalent
 from repro.setsynth import collection_to_pandas, collection_to_spark
 
-from ._helpers import pair_set
+from repro.core.preprocess import preprocess
+
+from ._helpers import arrow_batch_rows, pair_set
 
 LAM = 0.5
 
@@ -91,3 +94,14 @@ def test_allpairs(spark, collections):
     res = allpairs(spark, dfs[1], LAM)
     assert_equivalent(res.pairs, exact_join_sql(LAM), sets=collection_to_pandas(sets))
     res.pairs.unpersist()
+
+
+def test_empty_set_is_named_by_sid(spark):
+    """An empty set fails the embedding with its ``sid``, not its position
+    in an Arrow batch."""
+    sets = datasets.generate("DBLP", seed=0, scale=0.15)[:20]
+    sets[10] = np.array([], dtype=np.int64)
+    df = collection_to_spark(spark, sets)
+    with arrow_batch_rows(spark, 7):
+        with pytest.raises(PythonException, match=r"empty set at sid 10\b"):
+            preprocess(df, t=16, ell=2, seed=0).collect()

@@ -114,6 +114,19 @@ class TestJoin:
         with pytest.raises(ValueError, match="t=12"):
             minhash_lsh_join(spark, df, 0.5, k=3, reps=8, seed=3, pre=pre)
 
+    @pytest.mark.parametrize("kw", [
+        {"lam": 1.0}, {"lam": 0.0}, {"lam": 1.5}, {"delta": 0}, {"delta": -0.5},
+    ])
+    def test_parameters_out_of_range_raise(self, spark, dblp15, kw):
+        """Checked on the driver, before any job: at ``lam = 1`` a worker
+        would fail in the sketch cutoff, at ``lam = 0`` ``reps_for_recall``
+        would divide by zero, and at ``delta <= 0`` a worker would fail on
+        the normal quantile at ``1 - delta``."""
+        _, df, _ = dblp15
+        args = {"lam": 0.5, "delta": 0.05, **kw}
+        with pytest.raises(ValueError, match="lam" if "lam" in kw else "delta"):
+            minhash_lsh_join(spark, df, args["lam"], delta=args["delta"], seed=3)
+
     def test_first_rep_tracking(self, spark, dblp):
         _, df = dblp
         res = minhash_lsh_join(spark, df, 0.5, k=3, reps=6, ell=8, seed=2)

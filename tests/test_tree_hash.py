@@ -1,10 +1,11 @@
 """The local kernel's ``xxhash64`` is Spark SQL's, bit for bit.
 
-The distributed driver draws the Chosen-Path tree with three Spark
-expressions: the root path ``xxhash64(rep, seed)``, the coordinate
-choice ``xxhash64(path, i, seed, 1)`` and the child path
-``xxhash64(path, i, v)``.  The kernel computes the same three in numpy;
-if one hash differed, a bucket's tree would depend on where it runs.
+The local kernel draws the Chosen-Path tree with three hashes: the root
+path ``xxhash64(rep, seed)``, the coordinate choice
+``xxhash64(path, i, seed, 1)`` and the child path ``xxhash64(path, i, v)``.
+The pinned join outputs of the tests were recorded on trees drawn with
+these Spark expressions; if one numpy hash differed, the tree would not
+be the one they pin.
 """
 import numpy as np
 import pandas as pd
